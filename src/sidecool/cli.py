@@ -39,6 +39,12 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _load_config(args):
+    """The experiment config and the mechanical mode --mode-index selects."""
+    config = dataio.load_config(args.config)
+    return config, config.mode(args.mode_index)
+
+
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument(
@@ -141,8 +147,10 @@ def _default_background(mode_f: float, floor: float, args) -> spectra.Background
 
 
 def cmd_synth(args) -> int:
-    config = dataio.load_config(args.config)
-    mode = config.mode(args.mode_index)
+    try:
+        config, mode = _load_config(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     if config.g0 is None:
         return _fail("config must provide g0_hz for synthesis")
     noise = config.noise or LaserNoise()
@@ -259,8 +267,10 @@ def _tone_exclusion(config):
 
 
 def cmd_fit_peak(args) -> int:
-    config = dataio.load_config(args.config)
-    mode = config.mode(args.mode_index)
+    try:
+        config, mode = _load_config(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     spectrum = dataio.read_spectrum(args.spectrum)
     spectrum = _calibrated(spectrum, config)
     mode_f = mode.omega_m / TWO_PI
@@ -275,7 +285,12 @@ def cmd_fit_peak(args) -> int:
             search_window=window,
             exclusion_windows=_tone_exclusion(config),
         )
-    except (fitting.PeakNotFoundError, fitting.FitConvergenceError, ValueError) as exc:
+    except (
+        fitting.PeakNotFoundError,
+        fitting.FitConvergenceError,
+        fitting.DegenerateFitError,
+        ValueError,
+    ) as exc:
         return _fail(str(exc))
 
     frag = report.FitReport(
@@ -320,8 +335,10 @@ def cmd_fit_peak(args) -> int:
 
 
 def cmd_cooling_curve(args) -> int:
-    config = dataio.load_config(args.config)
-    mode = config.mode(args.mode_index)
+    try:
+        config, mode = _load_config(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     if len(args.fragments) < 3:
         return _fail("need at least 3 fit-peak fragments")
     peaks = []
@@ -334,10 +351,10 @@ def cmd_cooling_curve(args) -> int:
     points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
     try:
         cooling = fitting.fit_cooling_curve(points, mode)
-    except ValueError as exc:
+        slope, slope_sigma = fitting._a3_slope(peaks)
+    except (ValueError, fitting.DegenerateFitError) as exc:
         return _fail(str(exc))
     theta = sideband_angle(config.cavity, mode.omega_m)
-    slope, slope_sigma = fitting._a3_slope(peaks)
     b2_sigma = math.sqrt(max(cooling.covariance[1, 1], 0.0))
     disc = fitting.discriminate_noise(cooling.b2, b2_sigma, slope, slope_sigma, theta)
     noise = fitting.extract_noise_psd(cooling, mode, config.cavity, disc.classification)
@@ -427,8 +444,10 @@ def _predict_row(value, mode, cavity, g0, noise, gamma_opt=None):
 
 
 def cmd_predict(args) -> int:
-    config = dataio.load_config(args.config)
-    mode = config.mode(args.mode_index)
+    try:
+        config, mode = _load_config(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     if config.g0 is None:
         return _fail("config must provide g0_hz for predictions")
     noise = config.noise or LaserNoise()

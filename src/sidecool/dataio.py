@@ -320,6 +320,12 @@ class ExperimentConfig:
             raise ValueError("at least one mechanical mode is required")
 
     def mode(self, index: int = 0) -> MechMode:
+        n = len(self.modes)
+        if not 0 <= index < n:
+            raise ValueError(
+                f"mode index {index} is out of range: the config has {n} "
+                f"mode(s), valid indices are 0 to {n - 1}"
+            )
         return self.modes[index]
 
 

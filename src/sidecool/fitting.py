@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .spectra import (
     BackgroundModel,
     DetectionConfig,
     LineshapeCoeffs,
+    PeakGrid,
     Spectrum,
     evaluate_background,
     peak_model,
@@ -85,13 +86,16 @@ class PeakNotFoundError(ValueError):
 @dataclass
 class FitProblem:
     """A weighted least-squares problem: model(params) predicts data on a
-    fixed grid, weights are per-point inverse variances."""
+    fixed grid, weights are per-point inverse variances. jacobian(params),
+    when given, returns d model / d params as an (n_data, n_params) array;
+    otherwise it is built by forward differences."""
 
     model: Callable[[np.ndarray], np.ndarray]
     data: np.ndarray
     weights: np.ndarray
     initial_params: np.ndarray
     bounds: Sequence[tuple[float | None, float | None]] | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
@@ -152,20 +156,27 @@ def nlls_fit(
 ) -> FitResult:
     """Damped Gauss-Newton (Levenberg-Marquardt schedule) minimizer.
 
-    The Jacobian is built by forward differences with a relative step;
-    convergence is declared when an accepted step changes chi^2 by less
-    than rel_tol relative. The covariance is the inverse Gauss-Newton
-    normal matrix scaled by the reduced chi^2.
+    The Jacobian is problem.jacobian when given and is otherwise built by
+    forward differences with a relative step; convergence is declared when
+    an accepted step changes chi^2 by less than rel_tol relative. The
+    covariance is the inverse Gauss-Newton normal matrix scaled by the
+    reduced chi^2.
     """
     params = _clip_params(problem.initial_params, problem.bounds)
     w = problem.weights
+
+    def jacobian(params, pred):
+        if problem.jacobian is not None:
+            return problem.jacobian(params)
+        return _jacobian(problem.model, params, pred, jacobian_step)
+
     pred = problem.model(params)
     resid = problem.data - pred
     chi2 = float(w @ resid**2)
     lam = 1e-3
     n_iter = 0
     converged = False
-    jac = _jacobian(problem.model, params, pred, jacobian_step)
+    jac = jacobian(params, pred)
 
     for n_iter in range(1, max_iterations + 1):
         jtw = jac.T * w
@@ -214,7 +225,7 @@ def nlls_fit(
         delta = chi2 - chi2_t
         params, pred, resid, chi2 = trial, pred_t, resid_t, chi2_t
         lam = max(lam / 3.0, 1e-14)
-        jac = _jacobian(problem.model, params, pred, jacobian_step)
+        jac = jacobian(params, pred)
         if delta <= rel_tol * max(chi2, 1e-30):
             converged = True
             break
@@ -333,8 +344,20 @@ def fit_background(
         1e-12 * max(abs(offset0), 1e-30),
     )
 
+    x_k = f_k / f_pivot
+    log_x = np.log(x_k)
+    ones = np.ones_like(x_k)
+
     def tail_model(p):
-        return p[0] + p[1] * (f_k / f_pivot) ** (-p[2])
+        return p[0] + p[1] * x_k ** (-p[2])
+
+    # Jacobians are built as rows and returned transposed (column-major).
+    def tail_rows(p):
+        power = x_k ** (-p[2])
+        return [ones, power, -p[1] * power * log_x]
+
+    def tail_jacobian(p):
+        return np.array(tail_rows(p)).T
 
     tail_fit = nlls_fit(
         FitProblem(
@@ -343,6 +366,7 @@ def fit_background(
             weights=weights,
             initial_params=np.array([offset0, amp0, 2.0]),
             bounds=[(0.0, None), (0.0, None), (0.1, 6.0)],
+            jacobian=tail_jacobian,
         )
     )
     def tail_only(p) -> BackgroundModel:
@@ -373,9 +397,24 @@ def fit_background(
         return tail_only(tail_fit.params)
 
     def full_model(p):
-        tail = p[0] + p[1] * (f_k / f_pivot) ** (-p[2])
+        tail = p[0] + p[1] * x_k ** (-p[2])
         beat = p[5] * (p[4] / 2.0) ** 2 / ((f_k - p[3]) ** 2 + (p[4] / 2.0) ** 2)
         return tail + beat
+
+    def full_jacobian(p):
+        # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
+        d = f_k - p[3]
+        h = p[4] / 2.0
+        den = d**2 + h**2
+        lobe = h**2 / den
+        return np.array(
+            [
+                *tail_rows(p[:3]),
+                p[5] * 2.0 * d * lobe / den,
+                p[5] * h * d**2 / den**2,
+                lobe,
+            ]
+        ).T
 
     span = f_k[-1] - f_k[0]
     try:
@@ -402,6 +441,7 @@ def fit_background(
                     (2.0 * spectrum.f_step, span),
                     (0.0, None),
                 ],
+                jacobian=full_jacobian,
             )
         )
     except (DegenerateFitError, FitConvergenceError):
@@ -475,11 +515,7 @@ def peak_initial_guess(
     gamma_hz = max((i_hi - i_lo) * spectrum.f_step, 2.0 * spectrum.f_step)
     omega_eff = TWO_PI * float(f[i_pk])
     gamma_eff = TWO_PI * gamma_hz
-    c_sq = 1.0
-    if detection is not None:
-        from .spectra import detection_filter_c
-
-        c_sq = float(abs(detection_filter_c(omega_eff, detection)) ** 2)
+    c_sq = 1.0 if detection is None else float(PeakGrid(f, detection).c_sq[i_pk])
     a2 = (peak - a0) * (gamma_eff / 2.0) / c_sq
     return LineshapeCoeffs(
         a0=a0, a1=0.0, a2=a2, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
@@ -587,11 +623,13 @@ def fit_peak(
 
     omega_ref = init.omega_eff
     w_lo, w_hi = TWO_PI * window[0], TWO_PI * window[1]
+    grid = PeakGrid(f_fit, detection)
 
     def model6(p):
-        return peak_model(
-            f_fit, LineshapeCoeffs.from_array(p), detection, omega_ref=omega_ref
-        )
+        return grid.model(p, omega_ref)
+
+    def jacobian6(p):
+        return grid.jacobian(p, omega_ref)
 
     bounds6 = [
         (None, None),
@@ -608,22 +646,31 @@ def fit_peak(
             weights=weights,
             initial_params=init.as_array(),
             bounds=bounds6,
+            jacobian=jacobian6,
         )
     )
 
-    def model5(p):
-        full = np.array([p[0], p[1], p[2], 0.0, p[3], p[4]])
-        return model6(full)
+    # The Lorentzian-only model is the joint one with a3 pinned to 0.
+    free5 = [0, 1, 2, 4, 5]
 
-    init5 = np.array([init.a0, init.a1, init.a2, init.omega_eff, init.gamma_eff])
+    def with_a3(p):
+        return np.array([p[0], p[1], p[2], 0.0, p[3], p[4]])
+
+    def model5(p):
+        return model6(with_a3(p))
+
+    def jacobian5(p):
+        return jacobian6(with_a3(p))[:, free5]
+
     try:
         lorentz = nlls_fit(
             FitProblem(
                 model=model5,
                 data=data_fit,
                 weights=weights,
-                initial_params=init5,
-                bounds=[bounds6[0], bounds6[1], bounds6[2], bounds6[4], bounds6[5]],
+                initial_params=init.as_array()[free5],
+                bounds=[bounds6[i] for i in free5],
+                jacobian=jacobian5,
             )
         )
     except FitConvergenceError as exc:
@@ -919,6 +966,10 @@ def _a3_slope(peaks: Sequence[PeakFitResult]) -> tuple[float, float]:
     sig = np.array([max(p.a3_sigma, 1e-300) for p in peaks])
     w = 1.0 / sig**2
     denom = float(np.sum(w * g**2))
+    if denom == 0.0:
+        raise DegenerateFitError(
+            "a3 slope undetermined: no peak has a finite a3 uncertainty"
+        )
     slope = float(np.sum(w * g * a3)) / denom
     return slope, math.sqrt(1.0 / denom)
 
@@ -977,16 +1028,9 @@ def analyze_peak(
     # window. Iterate instead: subtract the current peak shape everywhere,
     # refit the background on the full band, then refit the peak on the
     # cleaned spectrum over its full reach.
-    from .spectra import LineshapeCoeffs as _LC
-
     for _ in range(2):
         c = result.coeffs
-        shape = peak_model(
-            f,
-            _LC(a0=0.0, a1=0.0, a2=c.a2, a3=c.a3,
-                omega_eff=c.omega_eff, gamma_eff=c.gamma_eff),
-            detection,
-        )
+        shape = peak_model(f, replace(c, a0=0.0, a1=0.0), detection)
         try:
             bg_i = fit_background(
                 spectrum.replace_values(spectrum.values - shape),
@@ -1005,7 +1049,7 @@ def analyze_peak(
                 variance_reference=spectrum.values,
                 exclusion_windows=exclusion_windows,
             )
-        except (PeakNotFoundError, FitConvergenceError, ValueError):
+        except (PeakNotFoundError, FitConvergenceError, DegenerateFitError, ValueError):
             break  # keep the last good result
         # a runaway refit (latching onto background residue) is rejected
         if not (1.0 / 3.0 < refined.coeffs.gamma_eff / c.gamma_eff < 3.0):

@@ -50,6 +50,7 @@ __all__ = [
     "amplitude_leak_d",
     "lorentzian_shape",
     "dispersive_shape",
+    "PeakGrid",
     "peak_model",
     "model_coefficients",
     "output_psd",
@@ -244,8 +245,33 @@ def amplitude_leak_d(omega: ArrayLike, detection: DetectionConfig) -> np.ndarray
     return term + term_r
 
 
-def _chi_eff_sq(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np.ndarray:
-    return 1.0 / ((np.asarray(omega) - omega_eff) ** 2 + (gamma_eff / 2.0) ** 2)
+def _lineshapes(
+    w: np.ndarray, omega_eff: float, gamma_eff: float, derivatives: bool = False
+):
+    """The Lorentzian L and dispersive D shapes at angular frequencies w.
+
+    Each is a sum over the +w and -w resonance lobes, with detuning
+    u = +-w - omega_eff and q = 1/(u^2 + (gamma_eff/2)^2). With derivatives,
+    also returns (dL/domega_eff, dD/domega_eff) and (dL/dgamma_eff,
+    dD/dgamma_eff).
+    """
+    half = gamma_eff / 2.0
+    u_p = w - omega_eff
+    u_m = -w - omega_eff
+    q_p = 1.0 / (u_p**2 + half**2)
+    q_m = 1.0 / (u_m**2 + half**2)
+    lor = half * (q_p + q_m)
+    disp = u_p * q_p + u_m * q_m
+    if not derivatives:
+        return lor, disp
+    q_p2, q_m2 = q_p**2, q_m**2
+    u_q2 = u_p * q_p2 + u_m * q_m2
+    d_omega = (
+        2.0 * half * u_q2,
+        2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
+    )
+    d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
+    return lor, disp, d_omega, d_gamma
 
 
 def lorentzian_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np.ndarray:
@@ -253,18 +279,48 @@ def lorentzian_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np
     f = w/2pi for narrow peaks."""
     if gamma_eff <= 0:
         raise ValueError("gamma_eff must be positive")
-    w = np.asarray(omega, dtype=float)
-    return gamma_eff / 2.0 * (_chi_eff_sq(w, omega_eff, gamma_eff) + _chi_eff_sq(-w, omega_eff, gamma_eff))
+    return _lineshapes(np.asarray(omega, dtype=float), omega_eff, gamma_eff)[0]
 
 
 def dispersive_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np.ndarray:
     """Antisymmetric companion of the Lorentzian, odd about the peak."""
     if gamma_eff <= 0:
         raise ValueError("gamma_eff must be positive")
-    w = np.asarray(omega, dtype=float)
-    return (w - omega_eff) * _chi_eff_sq(w, omega_eff, gamma_eff) + (
-        -w - omega_eff
-    ) * _chi_eff_sq(-w, omega_eff, gamma_eff)
+    return _lineshapes(np.asarray(omega, dtype=float), omega_eff, gamma_eff)[1]
+
+
+class PeakGrid:
+    """The six-parameter peak model and its Jacobian on one fixed grid (Hz).
+
+    |C(w)|^2 depends only on the grid and the detection configuration, so it
+    is computed once here rather than on every model evaluation. Parameter
+    vectors are ordered as LineshapeCoeffs.as_array(); the linear background
+    term is taken relative to a fixed omega_ref.
+    """
+
+    def __init__(self, f: np.ndarray, detection: DetectionConfig):
+        self.w = TWO_PI * np.asarray(f, dtype=float)
+        self.c_sq = np.abs(detection_filter_c(self.w, detection)) ** 2
+
+    def model(self, params: np.ndarray, omega_ref: float) -> np.ndarray:
+        a0, a1, a2, a3, omega_eff, gamma_eff = params
+        lor, disp = _lineshapes(self.w, omega_eff, gamma_eff)
+        return a0 + a1 * (self.w - omega_ref) + self.c_sq * (a2 * lor + a3 * disp)
+
+    def jacobian(self, params: np.ndarray, omega_ref: float) -> np.ndarray:
+        """d model / d params, one column per parameter."""
+        _, _, a2, a3, omega_eff, gamma_eff = params
+        lor, disp, d_omega, d_gamma = _lineshapes(self.w, omega_eff, gamma_eff, True)
+        # Filled row by row and returned transposed: column-major is the
+        # layout the normal-matrix products read fastest.
+        jac_t = np.empty((6, self.w.size))
+        jac_t[0] = 1.0
+        jac_t[1] = self.w - omega_ref
+        jac_t[2] = self.c_sq * lor
+        jac_t[3] = self.c_sq * disp
+        jac_t[4] = self.c_sq * (a2 * d_omega[0] + a3 * d_omega[1])
+        jac_t[5] = self.c_sq * (a2 * d_gamma[0] + a3 * d_gamma[1])
+        return jac_t.T
 
 
 def peak_model(
@@ -278,19 +334,9 @@ def peak_model(
     The linear background term is taken relative to omega_ref (defaults to
     the peak frequency) to decorrelate it from the flat level.
     """
-    w = TWO_PI * np.asarray(f, dtype=float)
     if omega_ref is None:
         omega_ref = coeffs.omega_eff
-    c_sq = np.abs(detection_filter_c(w, detection)) ** 2
-    return (
-        coeffs.a0
-        + coeffs.a1 * (w - omega_ref)
-        + c_sq
-        * (
-            coeffs.a2 * lorentzian_shape(w, coeffs.omega_eff, coeffs.gamma_eff)
-            + coeffs.a3 * dispersive_shape(w, coeffs.omega_eff, coeffs.gamma_eff)
-        )
-    )
+    return PeakGrid(f, detection).model(coeffs.as_array(), omega_ref)
 
 
 def model_coefficients(

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from sidecool.physics import CavitySpec, chi_c
+from sidecool.spectra import detection_filter_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,3 +69,22 @@ def weighted_line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     params, *_ = np.linalg.lstsq(a, b, rcond=None)
     cov = np.linalg.inv(a.T @ a)
     return params, cov
+
+
+def peak_model_reference(f, coeffs, detection, omega_ref=None):
+    """The six-parameter peak model written out term by term, with |C|^2
+    evaluated on every call: the arithmetic spectra.peak_model replaced."""
+    w = TWO_PI * np.asarray(f, dtype=float)
+    if omega_ref is None:
+        omega_ref = coeffs.omega_eff
+    c_sq = np.abs(detection_filter_c(w, detection)) ** 2
+    half = coeffs.gamma_eff / 2.0
+    chi_p = 1.0 / ((w - coeffs.omega_eff) ** 2 + half**2)
+    chi_m = 1.0 / ((-w - coeffs.omega_eff) ** 2 + half**2)
+    lorentzian = half * (chi_p + chi_m)
+    dispersive = (w - coeffs.omega_eff) * chi_p + (-w - coeffs.omega_eff) * chi_m
+    return (
+        coeffs.a0
+        + coeffs.a1 * (w - omega_ref)
+        + c_sq * (coeffs.a2 * lorentzian + coeffs.a3 * dispersive)
+    )

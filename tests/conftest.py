@@ -96,3 +96,26 @@ def run_campaign(
             search_window=(mode_f - 30e3, mode_f + 30e3),
         )
     return result, {"n_min": n_min, "gamma_min": gamma_min, "truth": truth}
+
+
+def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
+    """A PeakFitResult carrying only what the cooling-curve stage reads."""
+    coeffs = spectra.LineshapeCoeffs(
+        a0=0.0, a1=0.0, a2=a_eff, a3=0.0,
+        omega_eff=TWO_PI * 256e3, gamma_eff=gamma_eff,
+    )
+    return fitting.PeakFitResult(
+        coeffs=coeffs,
+        covariance=np.diag([1.0, 1.0, 1.0, a3_sigma**2, 1.0, 1.0]),
+        reduced_chi2=1.0,
+        a_eff=a_eff,
+        a_eff_sigma=0.01 * a_eff,
+        lorentzian_coeffs=coeffs,
+        lorentzian_covariance=np.eye(5),
+        lorentzian_reduced_chi2=1.0,
+        lorentzian_preferred=False,
+        theta=None,
+        window=(226e3, 286e3),
+        n_points=1200,
+        n_excluded=0,
+    )

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import sidecool as sc
-from sidecool import cli, dataio, report, spectra
+from sidecool import cli, dataio, fitting, report, spectra
 from sidecool.dataio import ExperimentConfig
 from sidecool.spectra import CalibrationTone
+
+from conftest import peak_record
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,7 +136,13 @@ def test_full_pipeline_recovers_truth(tmp_path, config_path):
     assert (out / "curve.tsv").read_text().startswith("gamma_eff_hz")
 
 
-def test_fit_peak_fails_cleanly_without_peak(tmp_path, config_path, capsys):
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def _flat_spectrum(tmp_path):
     flat = spectra.Spectrum(
         f_start=156e3, f_step=50.0, values=np.full(4001, 3.5e-3),
         units=spectra.SpectrumUnits.HZ2_PER_HZ, n_averages=100,
@@ -143,6 +151,11 @@ def test_fit_peak_fails_cleanly_without_peak(tmp_path, config_path, capsys):
     flat.values[idx] += 10.0 / 50.0  # tone so calibration succeeds
     path = tmp_path / "flat.csv"
     dataio.write_spectrum(flat, path)
+    return path
+
+
+def test_fit_peak_fails_cleanly_without_peak(tmp_path, config_path, capsys):
+    path = _flat_spectrum(tmp_path)
     code = _run(
         [
             "fit-peak", "--config", config_path,
@@ -151,6 +164,56 @@ def test_fit_peak_fails_cleanly_without_peak(tmp_path, config_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err.lower()
+
+
+def test_fit_peak_reports_degenerate_fit(tmp_path, config_path, capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise fitting.DegenerateFitError("singular normal matrix")
+
+    monkeypatch.setattr(fitting, "analyze_peak", degenerate)
+    code = _run(
+        [
+            "fit-peak", "--config", config_path,
+            "--spectrum", str(_flat_spectrum(tmp_path)),
+            "--out", str(tmp_path / "frag.json"),
+        ]
+    )
+    assert code == 1
+    assert "singular" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+@pytest.mark.parametrize("command", ["synth", "fit-peak", "cooling-curve", "predict"])
+def test_mode_index_out_of_range(tmp_path, config_path, capsys, command, index):
+    args = {
+        "synth": ["--seed", "1", "--out-dir", str(tmp_path / "camp")],
+        "fit-peak": ["--spectrum", str(tmp_path / "s.csv"), "--out", str(tmp_path / "f.json")],
+        "cooling-curve": [str(tmp_path / f"{k}.json") for k in "abc"]
+        + ["--out", str(tmp_path / "r.json")],
+        "predict": ["--sweep", "gamma-opt", "--min", "200", "--max", "50e3"],
+    }[command]
+    code = _run([command, "--config", config_path, f"--mode-index={index}", *args])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert f"mode index {index}" in line and "0 to 1" in line
+
+
+def test_cooling_curve_reports_undetermined_a3_slope(tmp_path, config_path, mode01, capsys):
+    """Every fragment with an infinite a3 sigma leaves the a3 slope undetermined."""
+    n_th = sc.thermal_occupation(mode01)
+    b1 = 2 * 2.1**2 * mode01.gamma_m * n_th
+    frags = []
+    for k, gamma in enumerate(TWO_PI * np.geomspace(1e3, 10e3, 4)):
+        path = tmp_path / f"frag_{k}.json"
+        peak = peak_record(gamma, b1 / gamma + 0.13 * gamma, a3_sigma=math.inf)
+        report.FitReport(peaks=[peak]).save(path)
+        frags.append(str(path))
+    code = _run(
+        ["cooling-curve", "--config", config_path, *frags, "--out", str(tmp_path / "r.json")]
+    )
+    assert code == 1
+    assert "a3 slope" in _one_error_line(capsys)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cooling_curve_requires_three_fragments(tmp_path, config_path, capsys):

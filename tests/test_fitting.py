@@ -16,8 +16,8 @@ from sidecool.fitting import (
 from sidecool.physics import DriveField, LaserNoise
 from sidecool.spectra import BackgroundModel, Spectrum, SpectrumUnits
 
-from conftest import run_campaign
-from _oracles import weighted_line_fit
+from conftest import peak_record, run_campaign
+from _oracles import peak_model_reference, weighted_line_fit
 
 TWO_PI = 2.0 * math.pi
 
@@ -272,6 +272,114 @@ def test_analyze_peak_handles_background_and_wide_peak(
     )
 
 
+def test_analyze_peak_keeps_last_good_pass_on_degenerate_refit(
+    monkeypatch, cavity, mode01, detection, phase_noise
+):
+    model = _peak_setup(cavity, mode01, detection, phase_noise)
+    noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=4)
+    inner = fitting.fit_peak
+    passes = []
+
+    def degenerate_refit(*args, **kwargs):
+        if passes:
+            raise DegenerateFitError("injected: singular normal matrix")
+        passes.append(inner(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(fitting, "fit_peak", degenerate_refit)
+    res, _ = fitting.analyze_peak(
+        noisy, mode01, cavity, detection, search_window=(226e3, 286e3)
+    )
+    assert res is passes[0]
+
+
+# ---------------------------------------------------------------------------
+# analytic Jacobians
+# ---------------------------------------------------------------------------
+
+
+def _recorded_fits(run):
+    """Call run() and return every (problem, result) pair nlls_fit saw; a
+    fit that runs out of iterations contributes its best state."""
+    seen = []
+    inner = fitting.nlls_fit
+
+    def recording(problem, *args, **kwargs):
+        try:
+            result = inner(problem, *args, **kwargs)
+        except FitConvergenceError as exc:
+            seen.append((problem, exc.best))
+            raise
+        seen.append((problem, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "nlls_fit", recording)
+        run()
+    return seen
+
+
+def _central_jacobian(model, params, rel_step=1e-6):
+    jac = np.empty((model(params).size, params.size))
+    for i in range(params.size):
+        step = rel_step * max(abs(params[i]), 1.0)
+        up, down = np.array(params), np.array(params)
+        up[i] += step
+        down[i] -= step
+        jac[:, i] = (model(up) - model(down)) / (2.0 * step)
+    return jac
+
+
+def _assert_jacobians_match(fits, sizes):
+    assert [problem.initial_params.size for problem, _ in fits] == sizes
+    for problem, result in fits:
+        for params in (problem.initial_params, result.params):
+            analytic = problem.jacobian(params)
+            reference = _central_jacobian(problem.model, params)
+            assert analytic.shape == reference.shape
+            for i in range(params.size):
+                err = np.linalg.norm(analytic[:, i] - reference[:, i])
+                assert err <= 1e-5 * np.linalg.norm(reference[:, i]), (
+                    f"{params.size}-parameter model, column {i}"
+                )
+
+
+def test_background_jacobians_match_central_differences():
+    """Tail (3 parameters) and tail + beat (6 parameters)."""
+    noisy, _ = _background_spectrum()
+    fits = _recorded_fits(lambda: fitting.fit_background(noisy))
+    _assert_jacobians_match(fits, [3, 6])
+
+
+def test_peak_jacobians_match_central_differences(
+    cavity, mode01, detection, phase_noise
+):
+    """Joint (6 parameters) and Lorentzian-only (5 parameters)."""
+    model = _peak_setup(cavity, mode01, detection, phase_noise)
+    noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=5)
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    fits = _recorded_fits(
+        lambda: fitting.fit_peak(noisy, (200e3, 300e3), detection, theta=theta)
+    )
+    _assert_jacobians_match(fits, [6, 5])
+
+
+def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
+    f = 156e3 + 50.0 * np.arange(4001)
+    for gamma_opt_hz in (1e3, 3e3, 9e3):
+        drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * gamma_opt_hz)
+        coeffs, _ = spectra.model_coefficients(
+            mode01, cavity, drive, phase_noise, floor=5e-3
+        )
+        coeffs = spectra.LineshapeCoeffs.from_array(
+            coeffs.as_array() + np.array([0.0, 1e-9, 0.0, 0.0, 0.0, 0.0])
+        )
+        for omega_ref in (None, TWO_PI * 255e3):
+            got = spectra.peak_model(f, coeffs, detection, omega_ref=omega_ref)
+            ref = peak_model_reference(f, coeffs, detection, omega_ref=omega_ref)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # cooling curve
 # ---------------------------------------------------------------------------
@@ -371,6 +479,12 @@ def test_extract_noise_round_trip(cavity, mode01, phase_noise):
     assert out.s_nu_nu == pytest.approx(2.2e-2, rel=1e-6)
     assert not out.s_phi_phi_is_limit
     assert out.s_eps_eps_is_limit
+
+
+def test_a3_slope_without_finite_sigma_is_degenerate():
+    peaks = [peak_record(TWO_PI * g, 100.0, a3_sigma=math.inf) for g in (1e3, 2e3, 4e3)]
+    with pytest.raises(DegenerateFitError, match="a3 slope"):
+        fitting._a3_slope(peaks)
 
 
 # ---------------------------------------------------------------------------
