@@ -19,7 +19,6 @@ from .physics import (
     amplitude_factor,
     backaction_occupancy,
     chi_c,
-    chi_m,
     effective_occupancy,
     excess_occupancy,
     min_occupancy,
@@ -59,6 +58,7 @@ from .fitting import (
     fit_peak,
     nlls_fit,
     subtract_background,
+    summarize_peaks,
 )
 from .dataio import (
     ExperimentConfig,

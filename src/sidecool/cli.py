@@ -1,7 +1,8 @@
 """Command-line front end: synth | fit-peak | cooling-curve | predict | convert.
 
 Diagnostics go to stderr; machine-readable output goes to files or stdout.
-Exit code 0 means a complete result was written.
+Exit code 0 means a complete result was written. I/O errors, invalid values
+and failed fits exit 1 with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import dataio, fitting, report, spectra
 from .physics import (
+    CavitySpec,
     DriveField,
     InstabilityError,
     LaserNoise,
@@ -147,10 +149,7 @@ def _default_background(mode_f: float, floor: float, args) -> spectra.Background
 
 
 def cmd_synth(args) -> int:
-    try:
-        config, mode = _load_config(args)
-    except ValueError as exc:
-        return _fail(str(exc))
+    config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for synthesis")
     noise = config.noise or LaserNoise()
@@ -267,31 +266,20 @@ def _tone_exclusion(config):
 
 
 def cmd_fit_peak(args) -> int:
-    try:
-        config, mode = _load_config(args)
-    except ValueError as exc:
-        return _fail(str(exc))
+    config, mode = _load_config(args)
     spectrum = dataio.read_spectrum(args.spectrum)
     spectrum = _calibrated(spectrum, config)
     mode_f = mode.omega_m / TWO_PI
     window = tuple(args.window_hz) if args.window_hz else (mode_f - 30e3, mode_f + 30e3)
 
-    try:
-        result, background = fitting.analyze_peak(
-            spectrum,
-            mode,
-            config.cavity,
-            config.detection,
-            search_window=window,
-            exclusion_windows=_tone_exclusion(config),
-        )
-    except (
-        fitting.PeakNotFoundError,
-        fitting.FitConvergenceError,
-        fitting.DegenerateFitError,
-        ValueError,
-    ) as exc:
-        return _fail(str(exc))
+    result, background = fitting.analyze_peak(
+        spectrum,
+        mode,
+        config.cavity,
+        config.detection,
+        search_window=window,
+        exclusion_windows=_tone_exclusion(config),
+    )
 
     frag = report.FitReport(
         peaks=[result],
@@ -335,10 +323,7 @@ def cmd_fit_peak(args) -> int:
 
 
 def cmd_cooling_curve(args) -> int:
-    try:
-        config, mode = _load_config(args)
-    except ValueError as exc:
-        return _fail(str(exc))
+    config, mode = _load_config(args)
     if len(args.fragments) < 3:
         return _fail("need at least 3 fit-peak fragments")
     peaks = []
@@ -348,22 +333,14 @@ def cmd_cooling_curve(args) -> int:
             return _fail(f"{frag_path}: no peak record")
         peaks.extend(frag.peaks)
 
-    points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
-    try:
-        cooling = fitting.fit_cooling_curve(points, mode)
-        slope, slope_sigma = fitting._a3_slope(peaks)
-    except (ValueError, fitting.DegenerateFitError) as exc:
-        return _fail(str(exc))
-    theta = sideband_angle(config.cavity, mode.omega_m)
-    b2_sigma = math.sqrt(max(cooling.covariance[1, 1], 0.0))
-    disc = fitting.discriminate_noise(cooling.b2, b2_sigma, slope, slope_sigma, theta)
-    noise = fitting.extract_noise_psd(cooling, mode, config.cavity, disc.classification)
+    campaign = fitting.summarize_peaks(peaks, mode, config.cavity)
+    cooling = campaign.cooling
 
     full = report.FitReport(
         peaks=peaks,
         cooling=cooling,
-        discrimination=disc,
-        noise=noise,
+        discrimination=campaign.discrimination,
+        noise=campaign.noise,
         t_eff_k=report.effective_temperature(cooling.n_min, mode.omega_m),
         q_eff=mode.omega_m / cooling.gamma_min,
         provenance={
@@ -376,6 +353,7 @@ def cmd_cooling_curve(args) -> int:
     if args.plot_data:
         g_hz2 = cooling.g0_hz**2
         lines = ["gamma_eff_hz\tn_eff\tn_eff_sigma\tfit\tthermal_branch"]
+        points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
         for gamma, a_eff, sigma in sorted(points):
             model = cooling.b1 / gamma + cooling.b2 * gamma
             lines.append(
@@ -388,7 +366,7 @@ def cmd_cooling_curve(args) -> int:
     _log(
         f"g0/2pi = {cooling.g0_hz:.3g} Hz, n_min = {cooling.n_min:.3g} "
         f"+- {cooling.n_min_sigma:.2g}, gamma_min/2pi = {cooling.gamma_min_hz:.4g} Hz, "
-        f"noise: {disc.classification}"
+        f"noise: {campaign.discrimination.classification}"
     )
     return 0
 
@@ -444,10 +422,7 @@ def _predict_row(value, mode, cavity, g0, noise, gamma_opt=None):
 
 
 def cmd_predict(args) -> int:
-    try:
-        config, mode = _load_config(args)
-    except ValueError as exc:
-        return _fail(str(exc))
+    config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for predictions")
     noise = config.noise or LaserNoise()
@@ -463,8 +438,6 @@ def cmd_predict(args) -> int:
         cavity, m, gamma_opt = config.cavity, mode, None
         try:
             if args.sweep == "detuning":
-                from .physics import CavitySpec
-
                 cavity = CavitySpec(
                     kappa=config.cavity.kappa,
                     detuning=TWO_PI * v,
@@ -516,13 +489,10 @@ def cmd_convert(args) -> int:
         if args.config is None:
             return _fail("--config with cavity length and laser frequency is required")
         config = dataio.load_config(args.config)
-        try:
-            if quantity == "snn-to-sll":
-                out = dataio.convert_snn_sll(args.value, config.cavity)
-            else:
-                out = dataio.convert_sll_snn(args.value, config.cavity)
-        except ValueError as exc:
-            return _fail(str(exc))
+        if quantity == "snn-to-sll":
+            out = dataio.convert_snn_sll(args.value, config.cavity)
+        else:
+            out = dataio.convert_sll_snn(args.value, config.cavity)
     print(f"{out:.17g}")
     return 0
 
@@ -536,7 +506,15 @@ def main(argv=None) -> int:
         "predict": cmd_predict,
         "convert": cmd_convert,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (
+        OSError,
+        ValueError,
+        fitting.FitConvergenceError,
+        fitting.DegenerateFitError,
+    ) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ __all__ = [
     "MissingHeaderError",
     "NonFiniteValueError",
     "ToneNotFoundError",
-    "UnitMismatchError",
     "read_spectrum",
     "write_spectrum",
     "calibrate_with_tone",
@@ -63,10 +62,6 @@ class NonFiniteValueError(SpectrumFormatError):
 
 class ToneNotFoundError(ValueError):
     """Calibration tone not present above the local background."""
-
-
-class UnitMismatchError(ValueError):
-    """Operation mixing incompatible spectrum units."""
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -40,7 +40,6 @@ __all__ = [
     "DegenerateFitError",
     "PeakNotFoundError",
     "nlls_fit",
-    "moving_average",
     "periodogram_variance",
     "spurious_bin_mask",
     "fit_background",
@@ -48,7 +47,6 @@ __all__ = [
     "peak_initial_guess",
     "PeakFitResult",
     "fit_peak",
-    "effective_area",
     "CoolingCurveResult",
     "fit_cooling_curve",
     "NoiseDiscrimination",
@@ -56,6 +54,7 @@ __all__ = [
     "NoiseExtraction",
     "extract_noise_psd",
     "CampaignResult",
+    "summarize_peaks",
     "analyze_campaign",
 ]
 
@@ -266,7 +265,7 @@ def nlls_fit(
 # ---------------------------------------------------------------------------
 
 
-def moving_average(values: np.ndarray, width: int = 10) -> np.ndarray:
+def _moving_average(values: np.ndarray, width: int = 10) -> np.ndarray:
     """Simple centered moving average with edge truncation."""
     values = np.asarray(values, dtype=float)
     kernel = np.ones(width)
@@ -283,7 +282,7 @@ def periodogram_variance(
     so background-subtracted spectra cannot produce zero or negative
     variances.
     """
-    smooth = moving_average(values, smooth_width)
+    smooth = _moving_average(values, smooth_width)
     positive = smooth[smooth > 0]
     if positive.size == 0:
         raise ValueError("spectrum has no positive level to estimate variance from")
@@ -297,7 +296,7 @@ def spurious_bin_mask(
 ) -> np.ndarray:
     """Boolean mask of bins to keep; flags >threshold-sigma positive outliers
     against the local smoothed level (spurious instrumental peaks)."""
-    smooth = moving_average(values, smooth_width)
+    smooth = _moving_average(values, smooth_width)
     sigma = np.sqrt(periodogram_variance(values, n_averages, smooth_width))
     return values - smooth <= threshold * sigma
 
@@ -384,7 +383,7 @@ def fit_background(
 
     # stage 2: beat note from the residual
     resid = y_k - tail_model(tail_fit.params)
-    smooth_resid = moving_average(resid, 10)
+    smooth_resid = _moving_average(resid, 10)
     i_beat = int(np.argmax(smooth_resid))
     beat_amp0 = max(float(smooth_resid[i_beat]), 1e-12)
     half = beat_amp0 / 2.0
@@ -542,17 +541,6 @@ class PeakFitResult:
     n_excluded: int
 
     @property
-    def gamma_eff(self) -> float:
-        c = self.lorentzian_coeffs if self.lorentzian_preferred else self.coeffs
-        return c.gamma_eff
-
-    @property
-    def gamma_eff_sigma(self) -> float:
-        cov = self.lorentzian_covariance if self.lorentzian_preferred else self.covariance
-        i = 4 if self.lorentzian_preferred else 5
-        return math.sqrt(max(cov[i, i], 0.0))
-
-    @property
     def a3(self) -> float:
         return self.coeffs.a3
 
@@ -561,7 +549,7 @@ class PeakFitResult:
         return math.sqrt(max(self.covariance[3, 3], 0.0))
 
 
-def effective_area(
+def _effective_area(
     a2: float, a3: float, theta: float, covariance: np.ndarray
 ) -> tuple[float, float]:
     """a_eff = a2 + a3/tan(theta) with linearly propagated uncertainty.
@@ -692,7 +680,7 @@ def fit_peak(
     lorentzian_preferred = abs(coeffs.a3) < a3_sigma
 
     if theta is not None:
-        a_eff, a_eff_sigma = effective_area(
+        a_eff, a_eff_sigma = _effective_area(
             coeffs.a2, coeffs.a3, theta, joint.covariance[2:4, 2:4]
         )
     elif lorentzian_preferred:
@@ -974,6 +962,34 @@ def _a3_slope(peaks: Sequence[PeakFitResult]) -> tuple[float, float]:
     return slope, math.sqrt(1.0 / denom)
 
 
+def summarize_peaks(
+    peaks: Sequence[PeakFitResult],
+    mode: MechMode,
+    cavity: CavitySpec,
+) -> CampaignResult:
+    """Turn a set of peak fits into the campaign's physics.
+
+    Fits the cooling curve to (gamma_eff, a_eff) and the dispersive weight a3
+    to gamma_eff, attributes the excess heating to phase or amplitude noise,
+    and inverts the cooling-curve minimum for the laser-noise PSDs.
+    """
+    points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
+    cooling = fit_cooling_curve(points, mode)
+    slope, slope_sigma = _a3_slope(peaks)
+    theta = sideband_angle(cavity, mode.omega_m)
+    b2_sigma = math.sqrt(max(cooling.covariance[1, 1], 0.0))
+    disc = discriminate_noise(cooling.b2, b2_sigma, slope, slope_sigma, theta)
+    noise = extract_noise_psd(cooling, mode, cavity, disc.classification)
+    return CampaignResult(
+        peaks=list(peaks),
+        cooling=cooling,
+        discrimination=disc,
+        noise=noise,
+        a3_slope=slope,
+        a3_slope_sigma=slope_sigma,
+    )
+
+
 def analyze_peak(
     spectrum: Spectrum,
     mode: MechMode,
@@ -981,26 +997,25 @@ def analyze_peak(
     detection: DetectionConfig,
     search_window: tuple[float, float],
     exclusion_windows: Sequence[tuple[float, float]] = (),
-    window_widths: float = 15.0,
 ) -> tuple[PeakFitResult, BackgroundModel]:
     """Background-subtract and fit one spectrum's mechanical peak.
 
-    The peak window is centered on the detected peak with a half-width of
-    window_widths effective widths (floored at 60 bins half-width). The
-    background is fitted twice: first excluding the search window, then --
-    once the peak width is known -- excluding the peak out to its far wings,
-    so broad peaks do not leak into the fitted tail.
+    The peak window is centered on the peak with a half-width of 15
+    effective widths (floored at 60 bins half-width). The background is
+    fitted three times: first excluding the search window, then twice --
+    once the peak shape is known -- on the full band with that shape
+    subtracted, so broad peaks do not leak into the fitted tail.
     """
     theta = sideband_angle(cavity, mode.omega_m)
     f = spectrum.frequencies
 
-    def one_pass(peak_exclusion, window_cap=None):
-        exclusions = list(exclusion_windows) + [peak_exclusion]
-        background = fit_background(spectrum, exclusions)
+    def one_pass(bg_spectrum, bg_exclusions, init=None, window_cap=None):
+        background = fit_background(bg_spectrum, bg_exclusions)
         clean = subtract_background(spectrum, background)
-        guess = peak_initial_guess(clean, search_window, detection)
-        f_pk = guess.omega_eff / TWO_PI
-        half = max(window_widths * guess.gamma_eff / TWO_PI, 60.0 * spectrum.f_step)
+        if init is None:
+            init = peak_initial_guess(clean, search_window, detection)
+        f_pk = init.omega_eff / TWO_PI
+        half = max(15.0 * init.gamma_eff / TWO_PI, 60.0 * spectrum.f_step)
         window = (max(f_pk - half, f[0]), min(f_pk + half, f[-1]))
         if window_cap is not None:
             window = (max(window[0], window_cap[0]), min(window[1], window_cap[1]))
@@ -1012,7 +1027,7 @@ def analyze_peak(
                 clean,
                 window,
                 detection,
-                init=guess,
+                init=init,
                 theta=theta,
                 variance_reference=spectrum.values,
                 exclusion_windows=exclusion_windows,
@@ -1021,7 +1036,9 @@ def analyze_peak(
 
     # Pass 1 stays inside the caller's search window: the background model is
     # still blind to the peak's reach, so a wide window is not trustworthy.
-    result, background = one_pass(search_window, window_cap=search_window)
+    result, background = one_pass(
+        spectrum, [*exclusion_windows, search_window], window_cap=search_window
+    )
 
     # The dispersive wings of a broad, squashed peak extend far past the
     # search window and corrupt a background fit that merely excludes the
@@ -1032,29 +1049,17 @@ def analyze_peak(
         c = result.coeffs
         shape = peak_model(f, replace(c, a0=0.0, a1=0.0), detection)
         try:
-            bg_i = fit_background(
+            refined, refined_bg = one_pass(
                 spectrum.replace_values(spectrum.values - shape),
-                list(exclusion_windows),
-            )
-            clean = subtract_background(spectrum, bg_i)
-            f_pk = c.omega_eff / TWO_PI
-            half = max(window_widths * c.gamma_eff / TWO_PI, 60.0 * spectrum.f_step)
-            window = (max(f_pk - half, f[0]), min(f_pk + half, f[-1]))
-            refined = fit_peak(
-                clean,
-                window,
-                detection,
+                exclusion_windows,
                 init=c,
-                theta=theta,
-                variance_reference=spectrum.values,
-                exclusion_windows=exclusion_windows,
             )
         except (PeakNotFoundError, FitConvergenceError, DegenerateFitError, ValueError):
             break  # keep the last good result
         # a runaway refit (latching onto background residue) is rejected
         if not (1.0 / 3.0 < refined.coeffs.gamma_eff / c.gamma_eff < 3.0):
             break
-        result, background = refined, bg_i
+        result, background = refined, refined_bg
     return result, background
 
 
@@ -1072,7 +1077,6 @@ def analyze_campaign(
     campaign proceeds as long as at least three points survive.
     """
     peaks = []
-    n_failed = 0
     for i, spec in enumerate(spectra):
         try:
             result, _ = analyze_peak(
@@ -1080,7 +1084,6 @@ def analyze_campaign(
             )
         except (PeakNotFoundError, FitConvergenceError, DegenerateFitError) as exc:
             warnings.warn(f"spectrum {i}: peak fit failed ({exc}); skipped", stacklevel=2)
-            n_failed += 1
             continue
         peaks.append(result)
     if len(peaks) < 3:
@@ -1088,18 +1091,4 @@ def analyze_campaign(
             f"only {len(peaks)} of {len(spectra)} spectra produced usable peak "
             "fits; cannot constrain the cooling curve"
         )
-    points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
-    cooling = fit_cooling_curve(points, mode)
-    slope, slope_sigma = _a3_slope(peaks)
-    theta = sideband_angle(cavity, mode.omega_m)
-    b2_sigma = math.sqrt(max(cooling.covariance[1, 1], 0.0))
-    disc = discriminate_noise(cooling.b2, b2_sigma, slope, slope_sigma, theta)
-    noise = extract_noise_psd(cooling, mode, cavity, disc.classification)
-    return CampaignResult(
-        peaks=peaks,
-        cooling=cooling,
-        discrimination=disc,
-        noise=noise,
-        a3_slope=slope,
-        a3_slope_sigma=slope_sigma,
-    )
+    return summarize_peaks(peaks, mode, cavity)

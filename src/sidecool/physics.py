@@ -23,9 +23,7 @@ __all__ = [
     "OccupancyBudget",
     "InstabilityError",
     "thermal_occupation",
-    "chi_m",
     "chi_c",
-    "intracavity_mean_field",
     "photon_flux",
     "optical_damping",
     "spring_shift",
@@ -176,17 +174,12 @@ def thermal_occupation(mode: MechMode) -> float:
     return k_B * mode.temperature / (hbar * mode.omega_m)
 
 
-def chi_m(omega: ArrayLike, mode: MechMode) -> complex | np.ndarray:
-    """Mechanical susceptibility 1 / (-i(w - Omega_m) + Gamma_m/2)."""
-    return 1.0 / (-1j * (omega - mode.omega_m) + mode.gamma_m / 2.0)
-
-
 def chi_c(omega: ArrayLike, cavity: CavitySpec) -> complex | np.ndarray:
     """Cavity susceptibility 1 / (-i(w + Delta) + kappa/2)."""
     return 1.0 / (-1j * (omega + cavity.detuning) + cavity.kappa / 2.0)
 
 
-def intracavity_mean_field(cavity: CavitySpec, flux: float) -> complex:
+def _intracavity_mean_field(cavity: CavitySpec, flux: float) -> complex:
     """Mean intracavity amplitude sqrt(kappa) chi_c(0) sqrt(flux)."""
     if flux < 0:
         raise ValueError(f"photon flux must be non-negative, got {flux}")
@@ -216,7 +209,7 @@ def photon_flux(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:
 
 def _mean_photon_number(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:
     flux = photon_flux(cavity, mode, drive)
-    return abs(intracavity_mean_field(cavity, flux)) ** 2
+    return abs(_intracavity_mean_field(cavity, flux)) ** 2
 
 
 def optical_damping(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:

@@ -12,7 +12,7 @@ from sidecool import cli, dataio, fitting, report, spectra
 from sidecool.dataio import ExperimentConfig
 from sidecool.spectra import CalibrationTone
 
-from conftest import peak_record
+from conftest import peak_record, run_campaign
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,6 +226,68 @@ def test_cooling_curve_requires_three_fragments(tmp_path, config_path, capsys):
     )
     assert code == 1
     assert "3" in capsys.readouterr().err
+
+
+def _bad_input_argv(case, tmp_path, config_path):
+    """argv for one malformed input; every case writes to tmp_path/out.json."""
+    out = ["--out", str(tmp_path / "out.json")]
+    if case == "missing-spectrum":
+        return ["fit-peak", "--config", config_path,
+                "--spectrum", str(tmp_path / "missing.csv"), *out]
+    if case == "one-column-spectrum":
+        path = tmp_path / "one.csv"
+        path.write_text("# units=hz2_per_hz\n# n_averages=10\n"
+                        "# f_start=1000.0\n# f_step=50.0\n"
+                        "frequency_hz,psd\n1000\n1050\n")
+        return ["fit-peak", "--config", config_path, "--spectrum", str(path), *out]
+    if case == "truncated-fragment":
+        doc = report.FitReport(peaks=[peak_record(TWO_PI * 1e3, 1.0)]).to_dict()
+        path = tmp_path / "frag.json"
+        path.write_text(json.dumps(doc)[:200])
+        return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
+    assert case == "missing-config"
+    return ["fit-peak", "--config", str(tmp_path / "missing.json"),
+            "--spectrum", str(tmp_path / "s.csv"), *out]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing-spectrum", "one-column-spectrum", "truncated-fragment", "missing-config"],
+)
+def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
+    code = _run(_bad_input_argv(case, tmp_path, config_path))
+    assert code == 1
+    _one_error_line(capsys)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cooling_curve_matches_analyze_campaign(
+    tmp_path, config_path, cavity, mode01, detection, phase_noise
+):
+    """The in-memory pipeline and fit-peak fragments fed to cooling-curve
+    give the same physics; only the Hz <-> rad/s round trip differs."""
+    result, _ = run_campaign(
+        mode01, cavity, detection, phase_noise, g0=TWO_PI * 2.1, seed=0, floor=3.5e-3
+    )
+    frags = []
+    for k, peak in enumerate(result.peaks):
+        path = tmp_path / f"frag_{k}.json"
+        report.FitReport(peaks=[peak]).save(path)
+        frags.append(str(path))
+    final = tmp_path / "report.json"
+    assert _run(["cooling-curve", "--config", config_path, *frags, "--out", str(final)]) == 0
+    rep = report.FitReport.load(final)
+
+    def close(value):
+        return pytest.approx(value, rel=1e-12, abs=0)
+
+    for name in ("g0", "g0_sigma", "n_min", "n_min_sigma", "gamma_min", "gamma_min_sigma"):
+        assert getattr(rep.cooling, name) == close(getattr(result.cooling, name)), name
+    for name in ("s_nu_nu", "s_nu_nu_sigma", "s_phi_phi", "s_eps_eps"):
+        assert getattr(rep.noise, name) == close(getattr(result.noise, name)), name
+    assert rep.noise.dominant == result.noise.dominant
+    assert rep.discrimination.classification == result.discrimination.classification
+    assert rep.discrimination.classification == "phase-dominated"
 
 
 def test_predict_detuning_sweep_flags_unstable(tmp_path, config_path):

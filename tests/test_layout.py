@@ -1,0 +1,111 @@
+"""Static checks on the package layout: modules use only each other's public
+names, and every ``__all__`` entry exists in its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sidecool"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_sidecool(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "sidecool"
+
+
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Local names bound to sidecool modules, as in ``from . import fitting``."""
+    return {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and _is_sidecool(node)
+        and node.module in (None, "sidecool")
+        for a in node.names
+    }
+
+
+def _private_uses(tree: ast.Module) -> list[str]:
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_sidecool(node):
+            uses += [
+                f"line {node.lineno}: imports {a.name}"
+                for a in node.names
+                if _private(a.name)
+            ]
+    aliases = _module_aliases(tree)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and _private(node.attr)
+        ):
+            uses.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    return uses
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return names
+
+
+def _all_entries(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_from_other_modules(path):
+    assert _private_uses(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_are_defined(path):
+    tree = _parse(path)
+    missing = [name for name in _all_entries(tree) if name not in _top_level_names(tree)]
+    assert missing == []
+
+
+def test_checks_catch_violations():
+    """The checks flag a private cross-module read, a private import and a
+    stale __all__ entry."""
+    tree = ast.parse(
+        "from . import fitting\n"
+        "from .physics import _sideband_response\n"
+        "__all__ = ['gone']\n"
+        "x = fitting._a3_slope\n"
+        "y = fitting.__name__\n"
+    )
+    assert _private_uses(tree) == [
+        "line 2: imports _sideband_response",
+        "line 4: reads fitting._a3_slope",
+    ]
+    assert _all_entries(tree) == ["gone"]
+    assert "gone" not in _top_level_names(tree)
