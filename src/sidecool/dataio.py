@@ -14,8 +14,9 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -38,10 +39,12 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "save_config",
+    "load_json",
     "atomic_write_text",
 ]
 
 TWO_PI = 2.0 * math.pi
+_T = TypeVar("_T")
 
 
 class SpectrumFormatError(ValueError):
@@ -214,12 +217,11 @@ def read_spectrum(path: str | Path) -> Spectrum:
 # Calibration and unit conversions
 # ---------------------------------------------------------------------------
 
+TONE_HALF_WIDTH_BINS = 2  # the tone is integrated over 2 * this + 1 bins
+
 
 def calibrate_with_tone(
-    spectrum: Spectrum,
-    tone_frequency: float,
-    tone_power: float,
-    half_width_bins: int = 2,
+    spectrum: Spectrum, tone_frequency: float, tone_power: float
 ) -> Spectrum:
     """Rescale a spectrum so the integrated calibration-tone peak equals the
     known tone power (Hz^2); the result is tagged Hz^2/Hz.
@@ -232,12 +234,13 @@ def calibrate_with_tone(
     idx = int(round((tone_frequency - spectrum.f_start) / spectrum.f_step))
     if idx < 0 or idx >= spectrum.values.size:
         raise ToneNotFoundError("tone frequency outside the spectrum grid")
+    half = TONE_HALF_WIDTH_BINS
     lo = max(idx - 30, 0)
     hi = min(idx + 31, spectrum.values.size)
     neighborhood = np.concatenate(
         [
-            spectrum.values[lo : max(idx - half_width_bins - 2, lo)],
-            spectrum.values[min(idx + half_width_bins + 3, hi) : hi],
+            spectrum.values[lo : max(idx - half - 2, lo)],
+            spectrum.values[min(idx + half + 3, hi) : hi],
         ]
     )
     if neighborhood.size == 0:
@@ -247,7 +250,7 @@ def calibrate_with_tone(
         raise ToneNotFoundError(
             f"no tone at {tone_frequency} Hz: bin is below 10x the local background"
         )
-    window = spectrum.values[max(idx - half_width_bins, 0) : idx + half_width_bins + 1]
+    window = spectrum.values[max(idx - half, 0) : idx + half + 1]
     integrated = float(np.sum(window - local_bg)) * spectrum.f_step
     if integrated <= 0:
         raise ToneNotFoundError("tone has non-positive integrated power")
@@ -425,9 +428,23 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_json(path: str | Path, build: Callable[[dict], _T]) -> _T:
+    """build() applied to the JSON document at path. Malformed JSON, a
+    missing key and a value of the wrong type raise one ValueError that
+    names the file (and the key)."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            return build(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: unexpected value type: {exc}") from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return load_json(path, config_from_dict)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:

@@ -55,6 +55,7 @@ __all__ = [
     "extract_noise_psd",
     "CampaignResult",
     "summarize_peaks",
+    "analyze_peak",
     "analyze_campaign",
 ]
 
@@ -85,16 +86,16 @@ class PeakNotFoundError(ValueError):
 @dataclass
 class FitProblem:
     """A weighted least-squares problem: model(params) predicts data on a
-    fixed grid, weights are per-point inverse variances. jacobian(params),
-    when given, returns d model / d params as an (n_data, n_params) array;
-    otherwise it is built by forward differences."""
+    fixed grid, weights are per-point inverse variances, and
+    jacobian(params) returns d model / d params as an (n_data, n_params)
+    array. A bound of None leaves that side of the parameter free."""
 
     model: Callable[[np.ndarray], np.ndarray]
     data: np.ndarray
     weights: np.ndarray
     initial_params: np.ndarray
+    jacobian: Callable[[np.ndarray], np.ndarray]
     bounds: Sequence[tuple[float | None, float | None]] | None = None
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
@@ -125,59 +126,32 @@ class FitResult:
         return math.sqrt(max(self.covariance[i, i], 0.0))
 
 
-def _clip_params(p: np.ndarray, bounds) -> np.ndarray:
-    if bounds is None:
-        return p
-    q = np.array(p)
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is not None and q[i] < lo:
-            q[i] = lo
-        if hi is not None and q[i] > hi:
-            q[i] = hi
-    return q
+MAX_ITERATIONS = 200
+REL_TOL = 1e-10
 
 
-def _jacobian(model, params: np.ndarray, f0: np.ndarray, rel_step: float) -> np.ndarray:
-    jac = np.empty((f0.size, params.size))
-    for i in range(params.size):
-        step = rel_step * max(abs(params[i]), 1.0)
-        p = np.array(params)
-        p[i] += step
-        jac[:, i] = (model(p) - f0) / step
-    return jac
-
-
-def nlls_fit(
-    problem: FitProblem,
-    max_iterations: int = 200,
-    rel_tol: float = 1e-10,
-    jacobian_step: float = 1e-6,
-) -> FitResult:
+def nlls_fit(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton (Levenberg-Marquardt schedule) minimizer.
 
-    The Jacobian is problem.jacobian when given and is otherwise built by
-    forward differences with a relative step; convergence is declared when
-    an accepted step changes chi^2 by less than rel_tol relative. The
-    covariance is the inverse Gauss-Newton normal matrix scaled by the
-    reduced chi^2.
+    Convergence is declared when an accepted step changes chi^2 by less than
+    REL_TOL relative; MAX_ITERATIONS steps without it raise
+    FitConvergenceError. The covariance is the inverse Gauss-Newton normal
+    matrix scaled by the reduced chi^2.
     """
-    params = _clip_params(problem.initial_params, problem.bounds)
+    bounds = problem.bounds or [(None, None)] * problem.initial_params.size
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    params = np.clip(problem.initial_params, lo, hi)
     w = problem.weights
 
-    def jacobian(params, pred):
-        if problem.jacobian is not None:
-            return problem.jacobian(params)
-        return _jacobian(problem.model, params, pred, jacobian_step)
-
-    pred = problem.model(params)
-    resid = problem.data - pred
+    resid = problem.data - problem.model(params)
     chi2 = float(w @ resid**2)
     lam = 1e-3
     n_iter = 0
     converged = False
-    jac = jacobian(params, pred)
+    jac = problem.jacobian(params)
 
-    for n_iter in range(1, max_iterations + 1):
+    for n_iter in range(1, MAX_ITERATIONS + 1):
         jtw = jac.T * w
         normal = jtw @ jac
         grad = jtw @ resid
@@ -191,12 +165,7 @@ def nlls_fit(
             raise DegenerateFitError(
                 "degenerate parameterization: no parameter affects the model"
             )
-        if problem.bounds is not None:
-            for i, (lo, hi) in enumerate(problem.bounds):
-                if lo is not None and params[i] <= lo and grad[i] < 0:
-                    free[i] = False
-                if hi is not None and params[i] >= hi and grad[i] > 0:
-                    free[i] = False
+        free &= ~(((params <= lo) & (grad < 0)) | ((params >= hi) & (grad > 0)))
         if not free.any():
             converged = True
             break
@@ -208,9 +177,8 @@ def nlls_fit(
                 step[free] = np.linalg.solve(sub, grad[free])
             except np.linalg.LinAlgError as exc:
                 raise DegenerateFitError("singular normal matrix") from exc
-            trial = _clip_params(params + step, problem.bounds)
-            pred_t = problem.model(trial)
-            resid_t = problem.data - pred_t
+            trial = np.clip(params + step, lo, hi)
+            resid_t = problem.data - problem.model(trial)
             chi2_t = float(w @ resid_t**2)
             if np.isfinite(chi2_t) and chi2_t <= chi2 * (1.0 + 1e-12) + 1e-300:
                 accepted = True
@@ -222,10 +190,10 @@ def nlls_fit(
             converged = True
             break
         delta = chi2 - chi2_t
-        params, pred, resid, chi2 = trial, pred_t, resid_t, chi2_t
+        params, resid, chi2 = trial, resid_t, chi2_t
         lam = max(lam / 3.0, 1e-14)
-        jac = jacobian(params, pred)
-        if delta <= rel_tol * max(chi2, 1e-30):
+        jac = problem.jacobian(params)
+        if delta <= REL_TOL * max(chi2, 1e-30):
             converged = True
             break
 
@@ -264,25 +232,26 @@ def nlls_fit(
 # Spectrum statistics helpers
 # ---------------------------------------------------------------------------
 
+SMOOTH_BINS = 10  # moving-average width of the local level, in bins
+SPURIOUS_SIGMA = 5.0  # outlier threshold of spurious_bin_mask
 
-def _moving_average(values: np.ndarray, width: int = 10) -> np.ndarray:
-    """Simple centered moving average with edge truncation."""
+
+def _moving_average(values: np.ndarray) -> np.ndarray:
+    """Centered SMOOTH_BINS-bin moving average with edge truncation."""
     values = np.asarray(values, dtype=float)
-    kernel = np.ones(width)
+    kernel = np.ones(SMOOTH_BINS)
     norm = np.convolve(np.ones_like(values), kernel, mode="same")
     return np.convolve(values, kernel, mode="same") / norm
 
 
-def periodogram_variance(
-    values: np.ndarray, n_averages: int, smooth_width: int = 10
-) -> np.ndarray:
+def periodogram_variance(values: np.ndarray, n_averages: int) -> np.ndarray:
     """Per-bin variance estimate S_smooth^2 / M for an M-average periodogram.
 
     The smoothed level is floored at a small positive fraction of its median
     so background-subtracted spectra cannot produce zero or negative
     variances.
     """
-    smooth = _moving_average(values, smooth_width)
+    smooth = _moving_average(values)
     positive = smooth[smooth > 0]
     if positive.size == 0:
         raise ValueError("spectrum has no positive level to estimate variance from")
@@ -291,14 +260,12 @@ def periodogram_variance(
     return smooth**2 / n_averages
 
 
-def spurious_bin_mask(
-    values: np.ndarray, n_averages: int, threshold: float = 5.0, smooth_width: int = 10
-) -> np.ndarray:
-    """Boolean mask of bins to keep; flags >threshold-sigma positive outliers
+def spurious_bin_mask(values: np.ndarray, n_averages: int) -> np.ndarray:
+    """Boolean mask of bins to keep; flags >SPURIOUS_SIGMA positive outliers
     against the local smoothed level (spurious instrumental peaks)."""
-    smooth = _moving_average(values, smooth_width)
-    sigma = np.sqrt(periodogram_variance(values, n_averages, smooth_width))
-    return values - smooth <= threshold * sigma
+    smooth = _moving_average(values)
+    sigma = np.sqrt(periodogram_variance(values, n_averages))
+    return values - smooth <= SPURIOUS_SIGMA * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +283,14 @@ def _retained_mask(f: np.ndarray, exclusion_windows) -> np.ndarray:
 def fit_background(
     spectrum: Spectrum,
     exclusion_windows: Sequence[tuple[float, float]] = (),
-    fit_beat: bool = True,
 ) -> BackgroundModel:
     """Fit the phenomenological background on bins outside the mechanical
     peaks: power-law tail first, then the beat note on the residual, then a
-    joint refinement."""
+    joint refinement. A beat note that does not stand 3 sigma above the
+    tail residual is skipped, leaving beat_amplitude = 0."""
     f = spectrum.frequencies
     keep = _retained_mask(f, exclusion_windows)
-    n_params = 6 if fit_beat else 3
-    if keep.sum() < max(50, 3 * n_params):
+    if keep.sum() < 50:
         raise ValueError("too few retained bins for a background fit")
     f_k = f[keep]
     y_k = spectrum.values[keep]
@@ -378,12 +344,9 @@ def fit_background(
             beat_width=spectrum.f_step,
         )
 
-    if not fit_beat:
-        return tail_only(tail_fit.params)
-
     # stage 2: beat note from the residual
     resid = y_k - tail_model(tail_fit.params)
-    smooth_resid = _moving_average(resid, 10)
+    smooth_resid = _moving_average(resid)
     i_beat = int(np.argmax(smooth_resid))
     beat_amp0 = max(float(smooth_resid[i_beat]), 1e-12)
     half = beat_amp0 / 2.0
@@ -396,9 +359,8 @@ def fit_background(
         return tail_only(tail_fit.params)
 
     def full_model(p):
-        tail = p[0] + p[1] * x_k ** (-p[2])
         beat = p[5] * (p[4] / 2.0) ** 2 / ((f_k - p[3]) ** 2 + (p[4] / 2.0) ** 2)
-        return tail + beat
+        return tail_model(p) + beat
 
     def full_jacobian(p):
         # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
@@ -457,23 +419,10 @@ def fit_background(
     )
 
 
-def subtract_background(
-    spectrum: Spectrum, background: BackgroundModel | Spectrum
-) -> Spectrum:
+def subtract_background(spectrum: Spectrum, background: BackgroundModel) -> Spectrum:
     """Bin-wise background subtraction. Negative bins are allowed (they are
     noise) and counted in the metadata."""
-    if isinstance(background, Spectrum):
-        same = (
-            background.values.size == spectrum.values.size
-            and math.isclose(background.f_start, spectrum.f_start, rel_tol=1e-12)
-            and math.isclose(background.f_step, spectrum.f_step, rel_tol=1e-12)
-        )
-        if not same:
-            raise ValueError("background spectrum grid does not match")
-        bg = background.values
-    else:
-        bg = evaluate_background(background, spectrum.frequencies)
-    values = spectrum.values - bg
+    values = spectrum.values - evaluate_background(background, spectrum.frequencies)
     return spectrum.replace_values(
         values,
         background_subtracted=True,
@@ -489,7 +438,7 @@ def subtract_background(
 def peak_initial_guess(
     spectrum: Spectrum,
     window: tuple[float, float],
-    detection: DetectionConfig | None = None,
+    detection: DetectionConfig,
 ) -> LineshapeCoeffs:
     """Starting point for a peak fit: argmax frequency, half-maximum span,
     and a height-based Lorentzian weight. Raises PeakNotFoundError when the
@@ -514,7 +463,7 @@ def peak_initial_guess(
     gamma_hz = max((i_hi - i_lo) * spectrum.f_step, 2.0 * spectrum.f_step)
     omega_eff = TWO_PI * float(f[i_pk])
     gamma_eff = TWO_PI * gamma_hz
-    c_sq = 1.0 if detection is None else float(PeakGrid(f, detection).c_sq[i_pk])
+    c_sq = float(PeakGrid(f, detection).c_sq[i_pk])
     a2 = (peak - a0) * (gamma_eff / 2.0) / c_sq
     return LineshapeCoeffs(
         a0=a0, a1=0.0, a2=a2, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
@@ -535,7 +484,7 @@ class PeakFitResult:
     lorentzian_covariance: np.ndarray
     lorentzian_reduced_chi2: float
     lorentzian_preferred: bool
-    theta: float | None
+    theta: float
     window: tuple[float, float]
     n_points: int
     n_excluded: int
@@ -571,8 +520,8 @@ def fit_peak(
     spectrum: Spectrum,
     window: tuple[float, float],
     detection: DetectionConfig,
+    theta: float,
     init: LineshapeCoeffs | None = None,
-    theta: float | None = None,
     variance_reference: np.ndarray | None = None,
     exclusion_windows: Sequence[tuple[float, float]] = (),
 ) -> PeakFitResult:
@@ -581,12 +530,11 @@ def fit_peak(
     The detection filter |C|^2 is computed from the supplied configuration,
     never fitted. Bin variances default to the windowed data itself; for
     background-subtracted spectra pass the pre-subtraction PSD (full grid)
-    as variance_reference. When theta is given, a_eff and its covariance-
-    propagated uncertainty are filled in; otherwise a_eff = a2.
+    as variance_reference. a_eff = a2 + a3/tan(theta) and its uncertainty
+    come from the joint fit.
 
-    Both the joint and the a3 = 0 (Lorentzian-only) fits are performed; the
-    Lorentzian-only one is preferred when the joint a3 is within one sigma
-    of zero.
+    The a3 = 0 (Lorentzian-only) fit runs as a comparison; it is flagged as
+    preferred when the joint a3 is within one sigma of zero.
     """
     sl = spectrum.window_slice(*window)
     f = spectrum.frequencies[sl]
@@ -676,17 +624,9 @@ def fit_peak(
     )
 
     coeffs = LineshapeCoeffs.from_array(joint.params)
-    a3_sigma = joint.sigma(3)
-    lorentzian_preferred = abs(coeffs.a3) < a3_sigma
-
-    if theta is not None:
-        a_eff, a_eff_sigma = _effective_area(
-            coeffs.a2, coeffs.a3, theta, joint.covariance[2:4, 2:4]
-        )
-    elif lorentzian_preferred:
-        a_eff, a_eff_sigma = lorentz_coeffs.a2, lorentz.sigma(2)
-    else:
-        a_eff, a_eff_sigma = coeffs.a2, joint.sigma(2)
+    a_eff, a_eff_sigma = _effective_area(
+        coeffs.a2, coeffs.a3, theta, joint.covariance[2:4, 2:4]
+    )
 
     return PeakFitResult(
         coeffs=coeffs,
@@ -697,7 +637,7 @@ def fit_peak(
         lorentzian_coeffs=lorentz_coeffs,
         lorentzian_covariance=lorentz.covariance,
         lorentzian_reduced_chi2=lorentz.reduced_chi2,
-        lorentzian_preferred=lorentzian_preferred,
+        lorentzian_preferred=abs(coeffs.a3) < joint.sigma(3),
         theta=theta,
         window=window,
         n_points=int(data_fit.size),
@@ -1027,8 +967,8 @@ def analyze_peak(
                 clean,
                 window,
                 detection,
+                theta,
                 init=init,
-                theta=theta,
                 variance_reference=spectrum.values,
                 exclusion_windows=exclusion_windows,
             )

@@ -12,7 +12,7 @@ import numpy as np
 
 from scipy.constants import hbar, k as k_B
 
-from .dataio import atomic_write_text
+from .dataio import atomic_write_text, load_json
 from .fitting import (
     CoolingCurveResult,
     NoiseDiscrimination,
@@ -215,5 +215,4 @@ class FitReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "FitReport":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)

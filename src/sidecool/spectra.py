@@ -133,22 +133,6 @@ class BackgroundModel:
         if self.beat_width <= 0:
             raise ValueError("beat_width must be positive")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.tail_offset,
-                self.tail_amplitude,
-                self.tail_exponent,
-                self.beat_center,
-                self.beat_width,
-                self.beat_amplitude,
-            ]
-        )
-
-    @classmethod
-    def from_array(cls, params: np.ndarray) -> "BackgroundModel":
-        return cls(*(float(p) for p in params))
-
 
 @dataclass(frozen=True)
 class CalibrationTone:

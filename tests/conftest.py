@@ -114,7 +114,7 @@ def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
         lorentzian_covariance=np.eye(5),
         lorentzian_reduced_chi2=1.0,
         lorentzian_preferred=False,
-        theta=None,
+        theta=0.5,
         window=(226e3, 286e3),
         n_points=1200,
         n_excluded=0,

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ def _bad_input_argv(case, tmp_path, config_path):
         path = tmp_path / "frag.json"
         path.write_text(json.dumps(doc)[:200])
         return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
+    if case == "fragment-missing-key":
+        path = tmp_path / "frag.json"
+        path.write_text(json.dumps({"peaks": [{}]}))
+        return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
+    if case == "config-missing-key":
+        doc = json.loads(Path(config_path).read_text())
+        del doc["modes"][0]["frequency_hz"]
+        path = tmp_path / "bad_config.json"
+        path.write_text(json.dumps(doc))
+        return ["fit-peak", "--config", str(path),
+                "--spectrum", str(tmp_path / "s.csv"), *out]
     assert case == "missing-config"
     return ["fit-peak", "--config", str(tmp_path / "missing.json"),
             "--spectrum", str(tmp_path / "s.csv"), *out]
@@ -252,12 +264,26 @@ def _bad_input_argv(case, tmp_path, config_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["missing-spectrum", "one-column-spectrum", "truncated-fragment", "missing-config"],
+    [
+        "missing-spectrum",
+        "one-column-spectrum",
+        "truncated-fragment",
+        "fragment-missing-key",
+        "config-missing-key",
+        "missing-config",
+    ],
 )
 def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     code = _run(_bad_input_argv(case, tmp_path, config_path))
     assert code == 1
-    _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    named = {
+        "truncated-fragment": [str(tmp_path / "frag.json")],
+        "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
+        "config-missing-key": [str(tmp_path / "bad_config.json"), "'frequency_hz'"],
+    }
+    for text in named.get(case, []):
+        assert text in line
     assert not (tmp_path / "out.json").exists()
 
 

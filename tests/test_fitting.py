@@ -27,6 +27,15 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
+def _exponential_jacobian(x):
+    """d/dp of p[0] exp(-p[1] x)."""
+    def jacobian(p):
+        e = np.exp(-p[1] * x)
+        return np.column_stack([e, -p[0] * x * e])
+
+    return jacobian
+
+
 def test_nlls_exact_recovery_exponential():
     x = np.linspace(0.0, 5.0, 60)
     true = np.array([2.0, 0.7])
@@ -36,6 +45,7 @@ def test_nlls_exact_recovery_exponential():
         data=data,
         weights=np.ones_like(x),
         initial_params=np.array([1.0, 1.0]),
+        jacobian=_exponential_jacobian(x),
     ))
     assert fit.converged
     assert fit.params == pytest.approx(true, rel=1e-8)
@@ -50,11 +60,23 @@ def test_nlls_converges_when_started_at_solution():
         data=data,
         weights=np.ones_like(x),
         initial_params=np.array([3.0, 1.0]),
+        jacobian=lambda p: np.column_stack([x, np.ones_like(x)]),
     ))
     assert fit.converged and fit.n_iterations <= 2
 
 
-def test_nlls_respects_bounds():
+@pytest.mark.parametrize(
+    "bounds, pinned",
+    [
+        ([(0.0, 1.5), (1.0, 3.0)], {0: 1.5, 1: 1.0}),
+        ([(None, 1.5), (None, None)], {0: 1.5}),
+        ([(None, None), (1.0, None)], {1: 1.0}),
+    ],
+    ids=["both", "upper-only", "lower-only"],
+)
+def test_nlls_respects_bounds(bounds, pinned):
+    """The truth (2.0, 0.7) lies outside the bounds, so each bounded
+    parameter ends exactly on the bound it crosses."""
     x = np.linspace(0.0, 5.0, 40)
     data = 2.0 * np.exp(-0.7 * x)
     fit = nlls_fit(FitProblem(
@@ -62,10 +84,12 @@ def test_nlls_respects_bounds():
         data=data,
         weights=np.ones_like(x),
         initial_params=np.array([1.0, 2.0]),
-        bounds=[(0.0, 1.5), (1.0, 3.0)],
+        jacobian=_exponential_jacobian(x),
+        bounds=bounds,
     ))
-    assert 0.0 <= fit.params[0] <= 1.5
-    assert 1.0 <= fit.params[1] <= 3.0
+    assert fit.converged
+    for i, bound in pinned.items():
+        assert fit.params[i] == bound
 
 
 def test_nlls_covariance_matches_linear_algebra():
@@ -78,6 +102,7 @@ def test_nlls_covariance_matches_linear_algebra():
         data=data,
         weights=1.0 / sigma**2,
         initial_params=np.array([1.0, 1.0]),
+        jacobian=lambda p: np.column_stack([x, np.ones_like(x)]),
     ))
     params, cov = weighted_line_fit(
         np.array([x, np.ones_like(x)]), data, sigma
@@ -95,6 +120,7 @@ def test_nlls_dead_parameter_gets_infinite_variance():
         data=data,
         weights=np.ones_like(x),
         initial_params=np.array([1.0, 1.0]),
+        jacobian=lambda p: np.column_stack([x, np.zeros_like(x)]),
     ))
     assert fit.params[0] == pytest.approx(3.0, rel=1e-8)
     assert math.isinf(fit.covariance[1, 1])
@@ -107,6 +133,7 @@ def test_fit_problem_rejects_too_few_points():
             data=np.array([1.0, 2.0, 3.0]),
             weights=np.ones(3),
             initial_params=np.ones(4),
+            jacobian=lambda p: np.zeros((3, p.size)),
         )
 
 
@@ -136,10 +163,10 @@ def test_spurious_bin_mask_flags_spike_keeps_rest():
 # ---------------------------------------------------------------------------
 
 
-def _background_spectrum(seed=0, m=200):
+def _background_spectrum(seed=0, m=200, beat_amplitude=0.05):
     bg = BackgroundModel(
         tail_offset=2e-3, tail_amplitude=3e8, tail_exponent=2.0,
-        beat_center=300e3, beat_width=2e3, beat_amplitude=0.05,
+        beat_center=300e3, beat_width=2e3, beat_amplitude=beat_amplitude,
     )
     f = 156e3 + 50.0 * np.arange(4001)
     model = Spectrum(
@@ -163,8 +190,9 @@ def test_fit_background_recovers_parameters():
 
 
 def test_fit_background_without_beat_returns_flat_beat():
-    noisy, _ = _background_spectrum()
-    fit = fitting.fit_background(noisy, fit_beat=False)
+    """A beat-free spectrum takes the tail-only path."""
+    noisy, _ = _background_spectrum(beat_amplitude=0.0)
+    fit = fitting.fit_background(noisy)
     assert fit.beat_amplitude == 0.0
 
 

@@ -1,5 +1,6 @@
 """Static checks on the package layout: modules use only each other's public
-names, and every ``__all__`` entry exists in its module."""
+names, every ``__all__`` entry exists in its module, every module-level
+import is used, and the package namespace re-exports only public names."""
 
 import ast
 from pathlib import Path
@@ -77,6 +78,23 @@ def _all_entries(tree: ast.Module) -> list[str]:
     return []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports that are neither referenced nor in ``__all__``."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_all_entries(tree))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            unused += [
+                f"line {node.lineno}: {a.asname or a.name}"
+                for a in node.names
+                if (a.asname or a.name).split(".")[0] not in used
+            ]
+    return unused
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -93,15 +111,38 @@ def test_all_entries_are_defined(path):
     assert missing == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_module_level_imports_are_used(path):
+    assert _unused_imports(_parse(path)) == []
+
+
+def test_package_namespace_names_are_public():
+    """Every name sidecool/__init__.py imports from a submodule is in that
+    submodule's __all__."""
+    missing = []
+    for node in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = _all_entries(_parse(PACKAGE / f"{node.module}.py"))
+            missing += [
+                f"{node.module}.{a.name}" for a in node.names if a.name not in exported
+            ]
+    assert missing == []
+
+
 def test_checks_catch_violations():
-    """The checks flag a private cross-module read, a private import and a
-    stale __all__ entry."""
+    """The checks flag a private cross-module read, a private import, a
+    stale __all__ entry and an unused import."""
     tree = ast.parse(
         "from . import fitting\n"
         "from .physics import _sideband_response\n"
         "__all__ = ['gone']\n"
         "x = fitting._a3_slope\n"
         "y = fitting.__name__\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "z = np.pi\n"
     )
     assert _private_uses(tree) == [
         "line 2: imports _sideband_response",
@@ -109,3 +150,5 @@ def test_checks_catch_violations():
     ]
     assert _all_entries(tree) == ["gone"]
     assert "gone" not in _top_level_names(tree)
+    assert _unused_imports(tree) == ["line 2: _sideband_response", "line 6: os.path"]
+    assert _unused_imports(ast.parse("import os\n__all__ = ['os']\n")) == []
