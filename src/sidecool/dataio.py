@@ -431,7 +431,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 def load_json(path: str | Path, build: Callable[[dict], _T]) -> _T:
     """build() applied to the JSON document at path. Malformed JSON, a
     missing key and a value of the wrong type raise one ValueError that
-    names the file (and the key)."""
+    names the file (and the key), as does a ValueError that build() raises."""
     with open(path) as fh:
         try:
             return build(json.load(fh))
@@ -441,6 +441,8 @@ def load_json(path: str | Path, build: Callable[[dict], _T]) -> _T:
             raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: unexpected value type: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 __all__ = [
     "CavitySpec",
@@ -37,6 +36,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Exact by the 2019 SI definition of the Planck and Boltzmann constants.
+hbar = 6.62607015e-34 / (2.0 * math.pi)
+k_B = 1.380649e-23
 
 ArrayLike = Union[float, np.ndarray]
 

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from scipy.constants import hbar, k as k_B
-
 from .dataio import atomic_write_text, load_json
 from .fitting import (
     CoolingCurveResult,
@@ -19,6 +17,7 @@ from .fitting import (
     NoiseExtraction,
     PeakFitResult,
 )
+from .physics import hbar, k_B
 from .spectra import LineshapeCoeffs
 
 __all__ = ["FitReport", "TOOL_VERSION", "effective_temperature"]
@@ -60,6 +59,14 @@ def _peak_to_dict(p: PeakFitResult) -> dict:
     }
 
 
+def _square(d: dict, key: str, n: int) -> np.ndarray:
+    """d[key] as an n x n float array; another shape raises ValueError."""
+    m = np.array(d[key], dtype=float)
+    if m.shape != (n, n):
+        raise ValueError(f"{key} must be {n}x{n}, got shape {m.shape}")
+    return m
+
+
 def _peak_from_dict(d: dict) -> PeakFitResult:
     def coeffs(c: dict) -> LineshapeCoeffs:
         return LineshapeCoeffs(
@@ -73,12 +80,12 @@ def _peak_from_dict(d: dict) -> PeakFitResult:
 
     return PeakFitResult(
         coeffs=coeffs(d["coeffs"]),
-        covariance=np.array(d["covariance"]),
+        covariance=_square(d, "covariance", 6),
         reduced_chi2=d["reduced_chi2"],
         a_eff=d["a_eff_hz2"],
         a_eff_sigma=d["a_eff_sigma_hz2"],
         lorentzian_coeffs=coeffs(d["lorentzian_coeffs"]),
-        lorentzian_covariance=np.array(d["lorentzian_covariance"]),
+        lorentzian_covariance=_square(d, "lorentzian_covariance", 5),
         lorentzian_reduced_chi2=d["lorentzian_reduced_chi2"],
         lorentzian_preferred=d["lorentzian_preferred"],
         theta=d["theta_rad"],

@@ -250,6 +250,12 @@ def _bad_input_argv(case, tmp_path, config_path):
         path = tmp_path / "frag.json"
         path.write_text(json.dumps({"peaks": [{}]}))
         return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
+    if case == "fragment-bad-covariance":
+        doc = report.FitReport(peaks=[peak_record(TWO_PI * 1e3, 1.0)]).to_dict()
+        doc["peaks"][0]["covariance"] = [[1.0]]
+        path = tmp_path / "frag.json"
+        path.write_text(json.dumps(doc))
+        return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
     if case == "config-missing-key":
         doc = json.loads(Path(config_path).read_text())
         del doc["modes"][0]["frequency_hz"]
@@ -269,6 +275,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         "one-column-spectrum",
         "truncated-fragment",
         "fragment-missing-key",
+        "fragment-bad-covariance",
         "config-missing-key",
         "missing-config",
     ],
@@ -280,6 +287,7 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     named = {
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
+        "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 6x6"],
         "config-missing-key": [str(tmp_path / "bad_config.json"), "'frequency_hz'"],
     }
     for text in named.get(case, []):

@@ -1,8 +1,12 @@
 """Static checks on the package layout: modules use only each other's public
 names, every ``__all__`` entry exists in its module, every module-level
-import is used, and the package namespace re-exports only public names."""
+import is used, the package namespace re-exports only public names, and
+nothing in the package imports scipy (only numpy is a run-time dependency)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +99,22 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return unused
 
 
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """Imports, at any depth, of scipy or one of its submodules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"
+        ]
+    return found
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -118,6 +138,30 @@ def test_module_level_imports_are_used(path):
     assert _unused_imports(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert _scipy_imports(_parse(path)) == []
+
+
+def test_cli_import_loads_no_scipy():
+    """A fresh interpreter that imports the CLI has no scipy module loaded."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sidecool.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_package_namespace_names_are_public():
     """Every name sidecool/__init__.py imports from a submodule is in that
     submodule's __all__."""
@@ -133,7 +177,7 @@ def test_package_namespace_names_are_public():
 
 def test_checks_catch_violations():
     """The checks flag a private cross-module read, a private import, a
-    stale __all__ entry and an unused import."""
+    stale __all__ entry, an unused import and a scipy import."""
     tree = ast.parse(
         "from . import fitting\n"
         "from .physics import _sideband_response\n"
@@ -152,3 +196,11 @@ def test_checks_catch_violations():
     assert "gone" not in _top_level_names(tree)
     assert _unused_imports(tree) == ["line 2: _sideband_response", "line 6: os.path"]
     assert _unused_imports(ast.parse("import os\n__all__ = ['os']\n")) == []
+    assert _scipy_imports(
+        ast.parse(
+            "import numpy, scipy.stats\n"
+            "from .physics import hbar\n"
+            "def f():\n"
+            "    from scipy.constants import k\n"
+        )
+    ) == ["line 1: scipy.stats", "line 4: scipy.constants"]

@@ -108,6 +108,23 @@ def test_thermal_occupation_matches_direct_ratio(mode01):
     assert sc.thermal_occupation(mode01) == pytest.approx(2.4418e7, rel=1e-4)
 
 
+def test_constants_equal_scipy_values_exactly():
+    assert sc.physics.hbar == hbar
+    assert sc.physics.k_B == k_B
+
+
+@pytest.mark.parametrize(
+    "f_hz, temperature", [(256e3, 300.0), (593e3, 300.0), (1.2e6, 4.2), (80e3, 0.05)]
+)
+def test_occupancy_and_temperature_match_scipy_expressions_exactly(f_hz, temperature):
+    mode = MechMode(omega_m=TWO_PI * f_hz, q_factor=1e7, temperature=temperature)
+    n_th = sc.thermal_occupation(mode)
+    assert n_th == k_B * temperature / (hbar * mode.omega_m)
+    assert sc.report.effective_temperature(n_th, mode.omega_m) == (
+        n_th * hbar * mode.omega_m / k_B
+    )
+
+
 # ---------------------------------------------------------------------------
 # occupancy budget
 # ---------------------------------------------------------------------------
