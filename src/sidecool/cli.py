@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--spectrum", required=True)
     p_fit.add_argument("--window-hz", type=float, nargs=2, default=None)
     p_fit.add_argument("--out", required=True, help="report fragment JSON")
-    p_fit.add_argument("--plot-data", default=None, help="f,data,fit,lorentzian,residual columns")
+    p_fit.add_argument("--plot-data", default=None, help="f,data,fit,residual columns")
 
     p_cool = sub.add_parser("cooling-curve", help="combine peak fits into the cooling curve")
     _add_config_arg(p_cool)
@@ -295,17 +295,11 @@ def cmd_fit_peak(args) -> int:
         fit_vals = spectra.peak_model(
             f, result.coeffs, config.detection, omega_ref=result.coeffs.omega_eff
         )
-        lor_vals = spectra.peak_model(
-            f,
-            result.lorentzian_coeffs,
-            config.detection,
-            omega_ref=result.lorentzian_coeffs.omega_eff,
-        )
-        lines = ["frequency_hz\tdata\tfit\tlorentzian_fit\tresidual"]
+        lines = ["frequency_hz\tdata\tfit\tresidual"]
         for i in range(f.size):
             lines.append(
                 f"{f[i]:.17g}\t{data[i]:.17g}\t{fit_vals[i]:.17g}"
-                f"\t{lor_vals[i]:.17g}\t{data[i] - fit_vals[i]:.17g}"
+                f"\t{data[i] - fit_vals[i]:.17g}"
             )
         dataio.atomic_write_text(args.plot_data, "\n".join(lines) + "\n")
 

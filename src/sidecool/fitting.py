@@ -472,17 +472,15 @@ def peak_initial_guess(
 
 @dataclass
 class PeakFitResult:
-    """Joint Lorentzian+dispersive peak fit, the nested Lorentzian-only fit,
-    and the effective area a_eff = a2 + a3/tan(theta)."""
+    """Joint Lorentzian+dispersive peak fit and the effective area
+    a_eff = a2 + a3/tan(theta). lorentzian_preferred flags a dispersive
+    weight a3 within one sigma of zero."""
 
     coeffs: LineshapeCoeffs
     covariance: np.ndarray
     reduced_chi2: float
     a_eff: float
     a_eff_sigma: float
-    lorentzian_coeffs: LineshapeCoeffs
-    lorentzian_covariance: np.ndarray
-    lorentzian_reduced_chi2: float
     lorentzian_preferred: bool
     theta: float
     window: tuple[float, float]
@@ -533,8 +531,8 @@ def fit_peak(
     as variance_reference. a_eff = a2 + a3/tan(theta) and its uncertainty
     come from the joint fit.
 
-    The a3 = 0 (Lorentzian-only) fit runs as a comparison; it is flagged as
-    preferred when the joint a3 is within one sigma of zero.
+    The symmetric (Lorentzian-only) lineshape is flagged as preferred when
+    the fitted a3 is within one sigma of zero.
     """
     sl = spectrum.window_slice(*window)
     f = spectrum.frequencies[sl]
@@ -561,66 +559,22 @@ def fit_peak(
     w_lo, w_hi = TWO_PI * window[0], TWO_PI * window[1]
     grid = PeakGrid(f_fit, detection)
 
-    def model6(p):
-        return grid.model(p, omega_ref)
-
-    def jacobian6(p):
-        return grid.jacobian(p, omega_ref)
-
-    bounds6 = [
-        (None, None),
-        (None, None),
-        (None, None),
-        (None, None),
-        (w_lo, w_hi),
-        (TWO_PI * spectrum.f_step, w_hi - w_lo),
-    ]
     joint = nlls_fit(
         FitProblem(
-            model=model6,
+            model=lambda p: grid.model(p, omega_ref),
             data=data_fit,
             weights=weights,
             initial_params=init.as_array(),
-            bounds=bounds6,
-            jacobian=jacobian6,
+            bounds=[
+                (None, None),
+                (None, None),
+                (None, None),
+                (None, None),
+                (w_lo, w_hi),
+                (TWO_PI * spectrum.f_step, w_hi - w_lo),
+            ],
+            jacobian=lambda p: grid.jacobian(p, omega_ref),
         )
-    )
-
-    # The Lorentzian-only model is the joint one with a3 pinned to 0.
-    free5 = [0, 1, 2, 4, 5]
-
-    def with_a3(p):
-        return np.array([p[0], p[1], p[2], 0.0, p[3], p[4]])
-
-    def model5(p):
-        return model6(with_a3(p))
-
-    def jacobian5(p):
-        return jacobian6(with_a3(p))[:, free5]
-
-    try:
-        lorentz = nlls_fit(
-            FitProblem(
-                model=model5,
-                data=data_fit,
-                weights=weights,
-                initial_params=init.as_array()[free5],
-                bounds=[bounds6[i] for i in free5],
-                jacobian=jacobian5,
-            )
-        )
-    except FitConvergenceError as exc:
-        # The symmetric comparison model cannot represent strongly asymmetric
-        # peaks and may crawl without converging; its best effort is still a
-        # valid comparison point, and the joint fit above remains the primary.
-        lorentz = exc.best
-    lorentz_coeffs = LineshapeCoeffs(
-        a0=lorentz.params[0],
-        a1=lorentz.params[1],
-        a2=lorentz.params[2],
-        a3=0.0,
-        omega_eff=lorentz.params[3],
-        gamma_eff=lorentz.params[4],
     )
 
     coeffs = LineshapeCoeffs.from_array(joint.params)
@@ -634,9 +588,6 @@ def fit_peak(
         reduced_chi2=joint.reduced_chi2,
         a_eff=a_eff,
         a_eff_sigma=a_eff_sigma,
-        lorentzian_coeffs=lorentz_coeffs,
-        lorentzian_covariance=lorentz.covariance,
-        lorentzian_reduced_chi2=lorentz.reduced_chi2,
         lorentzian_preferred=abs(coeffs.a3) < joint.sigma(3),
         theta=theta,
         window=window,
@@ -692,10 +643,13 @@ def fit_cooling_curve(
     gammas = np.array([p[0] for p in pts])
     areas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
-    if np.any(gammas <= 0):
+    # written so that NaN fails; an infinite sigma is a zero-weight point
+    if not np.all(gammas > 0):
         raise ValueError("all gamma_eff must be positive")
-    if np.any(sigmas <= 0):
-        raise ValueError("all sigmas must be positive")
+    if not np.all(np.isfinite(areas)):
+        raise ValueError("all a_eff must be finite")
+    if not np.all(sigmas > 0):
+        raise ValueError("all a_eff sigmas must be positive")
 
     annotations = []
     n_soft = int(np.sum(gammas < 10.0 * mode.gamma_m))
@@ -892,6 +846,9 @@ def _a3_slope(peaks: Sequence[PeakFitResult]) -> tuple[float, float]:
     g = np.array([p.coeffs.gamma_eff for p in peaks])
     a3 = np.array([p.a3 for p in peaks])
     sig = np.array([max(p.a3_sigma, 1e-300) for p in peaks])
+    # an infinite sigma is a zero-weight point; NaN in either is bad input
+    if not np.all(np.isfinite(a3)) or np.any(np.isnan(sig)):
+        raise ValueError("a3 slope undefined: a peak has a non-finite a3 or a NaN sigma")
     w = 1.0 / sig**2
     denom = float(np.sum(w * g**2))
     if denom == 0.0:
@@ -994,7 +951,7 @@ def analyze_peak(
                 exclusion_windows,
                 init=c,
             )
-        except (PeakNotFoundError, FitConvergenceError, DegenerateFitError, ValueError):
+        except (PeakNotFoundError, FitConvergenceError, DegenerateFitError):
             break  # keep the last good result
         # a runaway refit (latching onto background residue) is rejected
         if not (1.0 / 3.0 < refined.coeffs.gamma_eff / c.gamma_eff < 3.0):

@@ -23,7 +23,7 @@ from .spectra import LineshapeCoeffs
 __all__ = ["FitReport", "TOOL_VERSION", "effective_temperature"]
 
 TWO_PI = 2.0 * math.pi
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 
 def effective_temperature(n_eff: float, omega_m: float) -> float:
@@ -32,25 +32,20 @@ def effective_temperature(n_eff: float, omega_m: float) -> float:
 
 
 def _peak_to_dict(p: PeakFitResult) -> dict:
-    def coeffs_dict(c: LineshapeCoeffs) -> dict:
-        return {
+    c = p.coeffs
+    return {
+        "coeffs": {
             "a0": c.a0,
             "a1": c.a1,
             "a2_hz2": c.a2,
             "a3_hz2": c.a3,
             "omega_eff_hz": c.omega_eff / TWO_PI,
             "gamma_eff_hz": c.gamma_eff / TWO_PI,
-        }
-
-    return {
-        "coeffs": coeffs_dict(p.coeffs),
+        },
         "covariance": np.asarray(p.covariance).tolist(),
         "reduced_chi2": p.reduced_chi2,
         "a_eff_hz2": p.a_eff,
         "a_eff_sigma_hz2": p.a_eff_sigma,
-        "lorentzian_coeffs": coeffs_dict(p.lorentzian_coeffs),
-        "lorentzian_covariance": np.asarray(p.lorentzian_covariance).tolist(),
-        "lorentzian_reduced_chi2": p.lorentzian_reduced_chi2,
         "lorentzian_preferred": p.lorentzian_preferred,
         "theta_rad": p.theta,
         "window_hz": list(p.window),
@@ -59,34 +54,26 @@ def _peak_to_dict(p: PeakFitResult) -> dict:
     }
 
 
-def _square(d: dict, key: str, n: int) -> np.ndarray:
-    """d[key] as an n x n float array; another shape raises ValueError."""
-    m = np.array(d[key], dtype=float)
-    if m.shape != (n, n):
-        raise ValueError(f"{key} must be {n}x{n}, got shape {m.shape}")
-    return m
-
-
 def _peak_from_dict(d: dict) -> PeakFitResult:
-    def coeffs(c: dict) -> LineshapeCoeffs:
-        return LineshapeCoeffs(
+    """Keys this version does not write (the lorentzian_* fields of reports
+    from tool versions before 0.2.0) are ignored."""
+    c = d["coeffs"]
+    covariance = np.array(d["covariance"], dtype=float)
+    if covariance.shape != (6, 6):
+        raise ValueError(f"covariance must be 6x6, got shape {covariance.shape}")
+    return PeakFitResult(
+        coeffs=LineshapeCoeffs(
             a0=c["a0"],
             a1=c["a1"],
             a2=c["a2_hz2"],
             a3=c["a3_hz2"],
             omega_eff=TWO_PI * c["omega_eff_hz"],
             gamma_eff=TWO_PI * c["gamma_eff_hz"],
-        )
-
-    return PeakFitResult(
-        coeffs=coeffs(d["coeffs"]),
-        covariance=_square(d, "covariance", 6),
+        ),
+        covariance=covariance,
         reduced_chi2=d["reduced_chi2"],
         a_eff=d["a_eff_hz2"],
         a_eff_sigma=d["a_eff_sigma_hz2"],
-        lorentzian_coeffs=coeffs(d["lorentzian_coeffs"]),
-        lorentzian_covariance=_square(d, "lorentzian_covariance", 5),
-        lorentzian_reduced_chi2=d["lorentzian_reduced_chi2"],
         lorentzian_preferred=d["lorentzian_preferred"],
         theta=d["theta_rad"],
         window=tuple(d["window_hz"]),

@@ -110,9 +110,6 @@ def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
         reduced_chi2=1.0,
         a_eff=a_eff,
         a_eff_sigma=0.01 * a_eff,
-        lorentzian_coeffs=coeffs,
-        lorentzian_covariance=np.eye(5),
-        lorentzian_reduced_chi2=1.0,
         lorentzian_preferred=False,
         theta=0.5,
         window=(226e3, 286e3),

@@ -111,7 +111,7 @@ def test_full_pipeline_recovers_truth(tmp_path, config_path):
 
     plot = (out / "plot_0.tsv").read_text().splitlines()
     assert plot[0].split("\t") == [
-        "frequency_hz", "data", "fit", "lorentzian_fit", "residual"
+        "frequency_hz", "data", "fit", "residual"
     ]
     assert len(plot) > 100
 
@@ -256,6 +256,20 @@ def _bad_input_argv(case, tmp_path, config_path):
         path = tmp_path / "frag.json"
         path.write_text(json.dumps(doc))
         return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
+    if case in ("fragment-nan-sigma", "fragment-nan-a3", "fragment-nan-a3-sigma"):
+        paths = []
+        for k, gamma in enumerate(TWO_PI * np.geomspace(1e3, 10e3, 3)):
+            peak = peak_record(gamma, 1e3 / gamma + gamma)
+            doc = report.FitReport(peaks=[peak]).to_dict()
+            if k == 0 and case == "fragment-nan-sigma":
+                doc["peaks"][0]["a_eff_sigma_hz2"] = math.nan
+            elif k == 0 and case == "fragment-nan-a3":
+                doc["peaks"][0]["coeffs"]["a3_hz2"] = math.nan
+            elif k == 0:
+                doc["peaks"][0]["covariance"][3][3] = math.nan
+            paths.append(tmp_path / f"frag_{k}.json")
+            paths[-1].write_text(json.dumps(doc))
+        return ["cooling-curve", "--config", config_path, *map(str, paths), *out]
     if case == "config-missing-key":
         doc = json.loads(Path(config_path).read_text())
         del doc["modes"][0]["frequency_hz"]
@@ -276,6 +290,9 @@ def _bad_input_argv(case, tmp_path, config_path):
         "truncated-fragment",
         "fragment-missing-key",
         "fragment-bad-covariance",
+        "fragment-nan-sigma",
+        "fragment-nan-a3",
+        "fragment-nan-a3-sigma",
         "config-missing-key",
         "missing-config",
     ],
@@ -288,6 +305,9 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
         "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 6x6"],
+        "fragment-nan-sigma": ["a_eff sigmas must be positive"],
+        "fragment-nan-a3": ["non-finite a3"],
+        "fragment-nan-a3-sigma": ["NaN sigma"],
         "config-missing-key": [str(tmp_path / "bad_config.json"), "'frequency_hz'"],
     }
     for text in named.get(case, []):

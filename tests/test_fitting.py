@@ -300,21 +300,34 @@ def test_analyze_peak_handles_background_and_wide_peak(
     )
 
 
+@pytest.mark.parametrize(
+    "error",
+    [DegenerateFitError, FitConvergenceError, PeakNotFoundError, ValueError],
+    ids=lambda e: e.__name__,
+)
 def test_analyze_peak_keeps_last_good_pass_on_degenerate_refit(
-    monkeypatch, cavity, mode01, detection, phase_noise
+    monkeypatch, cavity, mode01, detection, phase_noise, error
 ):
+    """A refit that fails with a typed fit error keeps pass 1; any other
+    ValueError is a bug and propagates."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
     noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=4)
     inner = fitting.fit_peak
     passes = []
 
-    def degenerate_refit(*args, **kwargs):
+    def failing_refit(*args, **kwargs):
         if passes:
-            raise DegenerateFitError("injected: singular normal matrix")
+            raise error("injected refit failure")
         passes.append(inner(*args, **kwargs))
         return passes[-1]
 
-    monkeypatch.setattr(fitting, "fit_peak", degenerate_refit)
+    monkeypatch.setattr(fitting, "fit_peak", failing_refit)
+    if error is ValueError:
+        with pytest.raises(ValueError, match="injected refit failure"):
+            fitting.analyze_peak(
+                noisy, mode01, cavity, detection, search_window=(226e3, 286e3)
+            )
+        return
     res, _ = fitting.analyze_peak(
         noisy, mode01, cavity, detection, search_window=(226e3, 286e3)
     )
@@ -382,14 +395,14 @@ def test_background_jacobians_match_central_differences():
 def test_peak_jacobians_match_central_differences(
     cavity, mode01, detection, phase_noise
 ):
-    """Joint (6 parameters) and Lorentzian-only (5 parameters)."""
+    """The joint fit (6 parameters) is the only LM fit fit_peak runs."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
     noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=5)
     theta = sc.sideband_angle(cavity, mode01.omega_m)
     fits = _recorded_fits(
         lambda: fitting.fit_peak(noisy, (200e3, 300e3), detection, theta=theta)
     )
-    _assert_jacobians_match(fits, [6, 5])
+    _assert_jacobians_match(fits, [6])
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
