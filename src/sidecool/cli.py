@@ -149,6 +149,9 @@ def _default_background(mode_f: float, floor: float, args) -> spectra.Background
 
 
 def cmd_synth(args) -> int:
+    for option in ("f_step_hz", "points", "raw_scale"):
+        if not (getattr(args, option) > 0):  # written so that NaN fails
+            return _fail(f"--{option.replace('_', '-')} must be positive")
     config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for synthesis")

@@ -88,7 +88,10 @@ class FitProblem:
     """A weighted least-squares problem: model(params) predicts data on a
     fixed grid, weights are per-point inverse variances, and
     jacobian(params) returns d model / d params as an (n_data, n_params)
-    array. A bound of None leaves that side of the parameter free."""
+    array. A bound of None leaves that side of the parameter free. model
+    and jacobian must be pure functions of params; nlls_fit calls jacobian
+    only at the parameters of its last accepted model call, so the two may
+    share terms through a memo keyed by the parameters."""
 
     model: Callable[[np.ndarray], np.ndarray]
     data: np.ndarray
@@ -155,7 +158,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         jtw = jac.T * w
         normal = jtw @ jac
         grad = jtw @ resid
-        diag = np.diag(normal).copy()
+        diag = normal.diagonal().copy()
         # Parameters pinned to a bound with the descent direction pointing
         # outside stay frozen this iteration; solving for them anyway makes
         # the projected step zigzag and the fit crawl. Parameters with no
@@ -169,18 +172,27 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         if not free.any():
             converged = True
             break
+        # With every parameter free, no sub-matrix copy and no scatter.
+        all_free = free.all()
+        if not all_free:
+            normal, grad, diag = normal[np.ix_(free, free)], grad[free], diag[free]
         accepted = False
         for _ in range(25):
-            step = np.zeros_like(params)
+            damped = normal.copy()
+            damped.flat[:: diag.size + 1] += lam * diag
             try:
-                sub = normal[np.ix_(free, free)] + lam * np.diag(diag[free])
-                step[free] = np.linalg.solve(sub, grad[free])
+                solved = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError as exc:
                 raise DegenerateFitError("singular normal matrix") from exc
-            trial = np.clip(params + step, lo, hi)
+            if all_free:
+                step = solved
+            else:
+                step = np.zeros_like(params)
+                step[free] = solved
+            trial = (params + step).clip(lo, hi)
             resid_t = problem.data - problem.model(trial)
             chi2_t = float(w @ resid_t**2)
-            if np.isfinite(chi2_t) and chi2_t <= chi2 * (1.0 + 1e-12) + 1e-300:
+            if math.isfinite(chi2_t) and chi2_t <= chi2 * (1.0 + 1e-12) + 1e-300:
                 accepted = True
                 break
             lam *= 10.0
@@ -203,16 +215,18 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     normal = jtw @ jac
     # Parameters with no effect at the solution get infinite variance rather
     # than poisoning the inversion for the rest.
-    live = np.diag(normal) > 0
+    live = normal.diagonal() > 0
     cov = np.zeros_like(normal)
-    cov[np.diag_indices_from(cov)] = np.inf
-    if live.any():
-        try:
+    np.fill_diagonal(cov, np.inf)
+    try:
+        if live.all():
+            cov = np.linalg.inv(normal) * reduced
+        elif live.any():
             cov[np.ix_(live, live)] = (
                 np.linalg.inv(normal[np.ix_(live, live)]) * reduced
             )
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateFitError("singular normal matrix at the solution") from exc
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFitError("singular normal matrix at the solution") from exc
     result = FitResult(
         params=params,
         covariance=cov,
@@ -244,6 +258,16 @@ def _moving_average(values: np.ndarray) -> np.ndarray:
     return np.convolve(values, kernel, mode="same") / norm
 
 
+def _level_and_variance(values: np.ndarray, n_averages: int):
+    """The smoothed level and periodogram_variance, from one smoothing pass."""
+    smooth = _moving_average(values)
+    positive = smooth[smooth > 0]
+    if positive.size == 0:
+        raise ValueError("spectrum has no positive level to estimate variance from")
+    floor = 0.05 * float(np.median(positive))
+    return smooth, np.clip(smooth, floor, None) ** 2 / n_averages
+
+
 def periodogram_variance(values: np.ndarray, n_averages: int) -> np.ndarray:
     """Per-bin variance estimate S_smooth^2 / M for an M-average periodogram.
 
@@ -251,21 +275,14 @@ def periodogram_variance(values: np.ndarray, n_averages: int) -> np.ndarray:
     so background-subtracted spectra cannot produce zero or negative
     variances.
     """
-    smooth = _moving_average(values)
-    positive = smooth[smooth > 0]
-    if positive.size == 0:
-        raise ValueError("spectrum has no positive level to estimate variance from")
-    floor = 0.05 * float(np.median(positive))
-    smooth = np.clip(smooth, floor, None)
-    return smooth**2 / n_averages
+    return _level_and_variance(values, n_averages)[1]
 
 
 def spurious_bin_mask(values: np.ndarray, n_averages: int) -> np.ndarray:
     """Boolean mask of bins to keep; flags >SPURIOUS_SIGMA positive outliers
     against the local smoothed level (spurious instrumental peaks)."""
-    smooth = _moving_average(values)
-    sigma = np.sqrt(periodogram_variance(values, n_averages))
-    return values - smooth <= SPURIOUS_SIGMA * sigma
+    smooth, var = _level_and_variance(values, n_averages)
+    return values - smooth <= SPURIOUS_SIGMA * np.sqrt(var)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +304,12 @@ def fit_background(
     """Fit the phenomenological background on bins outside the mechanical
     peaks: power-law tail first, then the beat note on the residual, then a
     joint refinement. A beat note that does not stand 3 sigma above the
-    tail residual is skipped, leaving beat_amplitude = 0."""
+    tail residual is skipped, leaving beat_amplitude = 0.
+
+    The tail and beat kernels each keep a one-entry memo keyed by the bytes
+    of their nonlinear parameters (x^-e for the exponent e; d, h, d^2 + h^2
+    for the beat centre and width) that the Jacobian at the last model call's
+    point reuses. Any other point recomputes, so no result can change."""
     f = spectrum.frequencies
     keep = _retained_mask(f, exclusion_windows)
     if keep.sum() < 50:
@@ -311,18 +333,32 @@ def fit_background(
 
     x_k = f_k / f_pivot
     log_x = np.log(x_k)
-    ones = np.ones_like(x_k)
+
+    memo = {}  # kernel name -> (key, terms)
+
+    def memoized(name, args, compute):
+        key = args.tobytes()
+        hit = memo.get(name)
+        if hit is None or hit[0] != key:
+            hit = memo[name] = key, compute(*args)
+        return hit[1]
+
+    def tail_power(p):
+        return memoized("tail", p[2:3], lambda e: x_k ** (-e))
 
     def tail_model(p):
-        return p[0] + p[1] * x_k ** (-p[2])
+        return p[0] + p[1] * tail_power(p)
 
-    # Jacobians are built as rows and returned transposed (column-major).
-    def tail_rows(p):
-        power = x_k ** (-p[2])
-        return [ones, power, -p[1] * power * log_x]
+    # Jacobians are filled row by row and returned transposed (column-major).
+    def tail_rows(p, jac_t):
+        power = tail_power(p)
+        jac_t[0] = 1.0
+        jac_t[1] = power
+        jac_t[2] = -p[1] * power * log_x
+        return jac_t
 
     def tail_jacobian(p):
-        return np.array(tail_rows(p)).T
+        return tail_rows(p, np.empty((3, x_k.size))).T
 
     tail_fit = nlls_fit(
         FitProblem(
@@ -358,24 +394,24 @@ def fit_background(
     if beat_amp0 < 3.0 * local_sigma:
         return tail_only(tail_fit.params)
 
+    # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
+    def beat_terms(center, width):
+        d = f_k - center
+        h = width / 2.0
+        return d, h, d**2 + h**2
+
     def full_model(p):
-        beat = p[5] * (p[4] / 2.0) ** 2 / ((f_k - p[3]) ** 2 + (p[4] / 2.0) ** 2)
-        return tail_model(p) + beat
+        _, h, den = memoized("beat", p[3:5], beat_terms)
+        return tail_model(p) + p[5] * h**2 / den
 
     def full_jacobian(p):
-        # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
-        d = f_k - p[3]
-        h = p[4] / 2.0
-        den = d**2 + h**2
+        d, h, den = memoized("beat", p[3:5], beat_terms)
         lobe = h**2 / den
-        return np.array(
-            [
-                *tail_rows(p[:3]),
-                p[5] * 2.0 * d * lobe / den,
-                p[5] * h * d**2 / den**2,
-                lobe,
-            ]
-        ).T
+        jac_t = tail_rows(p, np.empty((6, x_k.size)))
+        jac_t[3] = p[5] * 2.0 * d * lobe / den
+        jac_t[4] = p[5] * h * d**2 / den**2
+        jac_t[5] = lobe
+        return jac_t.T
 
     span = f_k[-1] - f_k[0]
     try:
@@ -543,8 +579,9 @@ def fit_peak(
         warnings.warn("fit window narrower than 10 effective widths", stacklevel=2)
 
     ref = spectrum.values if variance_reference is None else np.asarray(variance_reference)
-    var = periodogram_variance(ref, spectrum.n_averages)[sl]
-    keep = spurious_bin_mask(ref, spectrum.n_averages)[sl]
+    smooth, var = _level_and_variance(ref, spectrum.n_averages)
+    var = var[sl]
+    keep = ref[sl] - smooth[sl] <= SPURIOUS_SIGMA * np.sqrt(var)  # spurious_bin_mask
     # never drop the resonance itself: bins within 2 widths of the guess stay
     near_peak = np.abs(TWO_PI * f - init.omega_eff) < 2.0 * init.gamma_eff
     keep |= near_peak

@@ -229,33 +229,19 @@ def amplitude_leak_d(omega: ArrayLike, detection: DetectionConfig) -> np.ndarray
     return term + term_r
 
 
-def _lineshapes(
-    w: np.ndarray, omega_eff: float, gamma_eff: float, derivatives: bool = False
-):
+def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
     """The Lorentzian L and dispersive D shapes at angular frequencies w.
 
     Each is a sum over the +w and -w resonance lobes, with detuning
-    u = +-w - omega_eff and q = 1/(u^2 + (gamma_eff/2)^2). With derivatives,
-    also returns (dL/domega_eff, dD/domega_eff) and (dL/dgamma_eff,
-    dD/dgamma_eff).
+    u = +-w - omega_eff and q = 1/(u^2 + (gamma_eff/2)^2). Returns L, D and
+    the lobe terms (gamma_eff/2, u+, u-, q+, q-) that PeakGrid.jacobian uses.
     """
     half = gamma_eff / 2.0
     u_p = w - omega_eff
     u_m = -w - omega_eff
     q_p = 1.0 / (u_p**2 + half**2)
     q_m = 1.0 / (u_m**2 + half**2)
-    lor = half * (q_p + q_m)
-    disp = u_p * q_p + u_m * q_m
-    if not derivatives:
-        return lor, disp
-    q_p2, q_m2 = q_p**2, q_m**2
-    u_q2 = u_p * q_p2 + u_m * q_m2
-    d_omega = (
-        2.0 * half * u_q2,
-        2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
-    )
-    d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
-    return lor, disp, d_omega, d_gamma
+    return half * (q_p + q_m), u_p * q_p + u_m * q_m, (half, u_p, u_m, q_p, q_m)
 
 
 def lorentzian_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np.ndarray:
@@ -280,21 +266,42 @@ class PeakGrid:
     is computed once here rather than on every model evaluation. Parameter
     vectors are ordered as LineshapeCoeffs.as_array(); the linear background
     term is taken relative to a fixed omega_ref.
+
+    A one-entry memo keyed by the bytes of (omega_eff, gamma_eff) keeps L, D
+    and their lobe terms, which jacobian reuses at the point of the last
+    model call (where nlls_fit calls it). Any other point recomputes, so the
+    memo only skips rebuilding identical arrays and cannot change a result.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
         self.w = TWO_PI * np.asarray(f, dtype=float)
         self.c_sq = np.abs(detection_filter_c(self.w, detection)) ** 2
+        self._memo_key = self._memo = None
+
+    def _shapes(self, params: np.ndarray):
+        key = np.asarray(params, dtype=float)[4:].tobytes()
+        if key != self._memo_key:
+            self._memo = _lineshapes(self.w, params[4], params[5])
+            self._memo_key = key
+        return self._memo
 
     def model(self, params: np.ndarray, omega_ref: float) -> np.ndarray:
-        a0, a1, a2, a3, omega_eff, gamma_eff = params
-        lor, disp = _lineshapes(self.w, omega_eff, gamma_eff)
+        a0, a1, a2, a3, _, _ = params
+        lor, disp, _ = self._shapes(params)
         return a0 + a1 * (self.w - omega_ref) + self.c_sq * (a2 * lor + a3 * disp)
 
     def jacobian(self, params: np.ndarray, omega_ref: float) -> np.ndarray:
         """d model / d params, one column per parameter."""
-        _, _, a2, a3, omega_eff, gamma_eff = params
-        lor, disp, d_omega, d_gamma = _lineshapes(self.w, omega_eff, gamma_eff, True)
+        _, _, a2, a3, _, _ = params
+        lor, disp, (half, u_p, u_m, q_p, q_m) = self._shapes(params)
+        # (dL, dD) / d omega_eff and (dL, dD) / d gamma_eff
+        q_p2, q_m2 = q_p**2, q_m**2
+        u_q2 = u_p * q_p2 + u_m * q_m2
+        d_omega = (
+            2.0 * half * u_q2,
+            2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
+        )
+        d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
         # Filled row by row and returned transposed: column-major is the
         # layout the normal-matrix products read fastest.
         jac_t = np.empty((6, self.w.size))

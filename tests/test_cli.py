@@ -79,6 +79,17 @@ def test_synth_is_seed_reproducible(tmp_path, config_path):
     assert np.array_equal(va, vb)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--f-step-hz", "0"), ("--f-step-hz", "-50"), ("--points", "0"), ("--raw-scale", "0")],
+)
+def test_synth_bad_input_gives_one_error_line(tmp_path, config_path, capsys, option, value):
+    out = tmp_path / "camp"
+    assert _synth(config_path, out, extra=[option, value]) == 1
+    assert option in _one_error_line(capsys)
+    assert not (out / "manifest.json").exists()
+
+
 def test_full_pipeline_recovers_truth(tmp_path, config_path):
     """synth -> fit-peak x N -> cooling-curve reproduces the generating
     parameters within the reported uncertainties."""

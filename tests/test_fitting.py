@@ -405,6 +405,61 @@ def test_peak_jacobians_match_central_differences(
     _assert_jacobians_match(fits, [6])
 
 
+def test_kernel_memo_gives_same_bits(cavity, mode01, detection, phase_noise):
+    """model and jacobian give the same bits whatever was evaluated before.
+
+    The kernels memoize the terms of the last point they saw. Each recorded
+    problem is evaluated at its start x0 and at points x_j that differ from
+    x0 in parameter j alone, in interleaved order, so a memo that is stale
+    or keyed on too few parameters shows. Each value must equal the same
+    evaluation on a freshly recorded problem. The 1e-5 central-difference
+    tests would not see a stale memo of a nearby point.
+    """
+    background, _ = _background_spectrum()
+    peak = spectra.synthesize_measured_spectrum(
+        _peak_setup(cavity, mode01, detection, phase_noise), n_averages=200, seed=5
+    )
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    runs = [
+        lambda: fitting.fit_background(background),
+        lambda: fitting.fit_peak(peak, (200e3, 300e3), detection, theta=theta),
+    ]
+    sizes = []
+    for run in runs:
+        fits = _recorded_fits(run)
+        n = max(problem.initial_params.size for problem, _ in fits)
+        fresh = [_recorded_fits(run) for _ in range(n + 1)]
+        for k, (problem, _) in enumerate(fits):
+            sizes.append(problem.initial_params.size)
+            x0 = problem.initial_params
+            points = [x0]
+            for j in range(x0.size):
+                points.append(x0.copy())
+                points[-1][j] += 1e-3 * max(abs(x0[j]), 1.0)
+            for j in range(1, x0.size + 1):
+                for kind, i in (("model", 0), ("jacobian", j), ("model", j), ("jacobian", 0)):
+                    got = getattr(problem, kind)(points[i])
+                    want = getattr(fresh[i][k][0], kind)(points[i])
+                    assert np.array_equal(got, want), (x0.size, kind, i)
+    assert sizes == [3, 6, 6]
+
+    # PeakGrid alone: a call at one point, then the other kernel at another
+    grid_f = 156e3 + 50.0 * np.arange(2001)
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * 3e3)
+    p = spectra.model_coefficients(mode01, cavity, drive, phase_noise, floor=5e-3)[0]
+    p = p.as_array() + np.array([0.0, 1e-9, 0.0, 0.0, 0.0, 0.0])
+    omega_ref = TWO_PI * 255e3
+    for j in (4, 5):
+        q = p.copy()
+        q[j] *= 1.001
+        grid = spectra.PeakGrid(grid_f, detection)
+        grid.model(p, omega_ref)
+        fresh_jac = spectra.PeakGrid(grid_f, detection).jacobian(q, omega_ref)
+        assert np.array_equal(grid.jacobian(q, omega_ref), fresh_jac)
+        fresh_model = spectra.PeakGrid(grid_f, detection).model(p, omega_ref)
+        assert np.array_equal(grid.model(p, omega_ref), fresh_model)
+
+
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
     f = 156e3 + 50.0 * np.arange(4001)
     for gamma_opt_hz in (1e3, 3e3, 9e3):
