@@ -298,12 +298,10 @@ def cmd_fit_peak(args) -> int:
         fit_vals = spectra.peak_model(
             f, result.coeffs, config.detection, omega_ref=result.coeffs.omega_eff
         )
+        columns = (f, data, fit_vals, data - fit_vals)
+        rows = zip(*(c.tolist() for c in columns))
         lines = ["frequency_hz\tdata\tfit\tresidual"]
-        for i in range(f.size):
-            lines.append(
-                f"{f[i]:.17g}\t{data[i]:.17g}\t{fit_vals[i]:.17g}"
-                f"\t{data[i] - fit_vals[i]:.17g}"
-            )
+        lines.extend(map("%.17g\t%.17g\t%.17g\t%.17g".__mod__, rows))
         dataio.atomic_write_text(args.plot_data, "\n".join(lines) + "\n")
 
     _log(

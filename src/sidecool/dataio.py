@@ -21,7 +21,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .physics import CavitySpec, LaserNoise, MechMode
-from .spectra import CalibrationTone, DetectionConfig, Spectrum, SpectrumUnits
+from .spectra import CalibrationTone, DetectionConfig, Spectrum, SpectrumUnits, median
 
 __all__ = [
     "SpectrumFormatError",
@@ -101,9 +101,8 @@ def write_spectrum(spectrum: Spectrum, path: str | Path) -> None:
     for key, value in spectrum.metadata.items():
         lines.append(f"# meta:{key}={value!r}" if isinstance(value, str) else f"# meta:{key}={value}")
     lines.append("frequency_hz,psd")
-    f = spectrum.frequencies
-    for i in range(spectrum.values.size):
-        lines.append(f"{f[i]:.17g},{spectrum.values[i]:.17g}")
+    rows = zip(spectrum.frequencies.tolist(), spectrum.values.tolist())
+    lines.extend(map("%.17g,%.17g".__mod__, rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -129,7 +128,9 @@ def read_spectrum(path: str | Path) -> Spectrum:
     path = Path(path)
     header: dict[str, str] = {}
     metadata: dict = {}
-    rows: list[tuple[int, str]] = []
+    cells: list[str] = []  # frequency and value of each data row, in turn
+    linenos: list[int] = []
+    bad_columns = None  # line of the first row without two columns
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -147,33 +148,41 @@ def read_spectrum(path: str | Path) -> Spectrum:
                 continue
             if line.lower().startswith("frequency"):
                 continue
-            rows.append((lineno, line))
+            parts = line.split(",")
+            if len(parts) != 2:
+                parts = line.split()
+            if len(parts) != 2:
+                bad_columns = lineno
+                break
+            cells += parts
+            linenos.append(lineno)
 
-    if not rows:
+    if not linenos and bad_columns is None:
         raise SpectrumFormatError(f"{path}: no data rows")
-
-    freqs = np.empty(len(rows))
-    vals = np.empty(len(rows))
-    for i, (lineno, line) in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != 2:
-            parts = line.split()
-        if len(parts) != 2:
-            raise SpectrumFormatError(f"{path}:{lineno}: expected two columns")
-        try:
-            freqs[i], vals[i] = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise SpectrumFormatError(f"{path}:{lineno}: non-numeric value") from exc
+    # Rows are checked in file order: a non-numeric row before the first
+    # row without two columns is the one reported.
+    try:
+        table = np.array(cells, dtype=float).reshape(-1, 2)
+    except ValueError as exc:
+        for i, lineno in enumerate(linenos):
+            try:
+                np.array(cells[2 * i : 2 * i + 2], dtype=float)
+            except ValueError:
+                raise SpectrumFormatError(f"{path}:{lineno}: non-numeric value") from exc
+        raise
+    if bad_columns is not None:
+        raise SpectrumFormatError(f"{path}:{bad_columns}: expected two columns")
+    freqs, vals = table[:, 0].copy(), table[:, 1].copy()
 
     if not np.all(np.isfinite(freqs)) or not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~(np.isfinite(freqs) & np.isfinite(vals))))
         raise NonFiniteValueError(
-            f"{path}:{rows[bad][0]}: non-finite value"
+            f"{path}:{linenos[bad]}: non-finite value"
         )
 
     legacy = not header
     if legacy:
-        if len(rows) < 2:
+        if len(linenos) < 2:
             raise MissingHeaderError(f"{path}: missing header and too short to infer grid")
         f_start = float(freqs[0])
         f_step = float(freqs[1] - freqs[0])
@@ -194,12 +203,12 @@ def read_spectrum(path: str | Path) -> Spectrum:
 
     if f_step <= 0:
         raise SpectrumFormatError(f"{path}: f_step must be positive")
-    expected = f_start + f_step * np.arange(len(rows))
+    expected = f_start + f_step * np.arange(len(linenos))
     bad = np.abs(freqs - expected) > 1e-6 * f_step
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NonUniformGridError(
-            f"{path}:{rows[i][0]}: frequency {freqs[i]!r} deviates from the "
+            f"{path}:{linenos[i]}: frequency {freqs[i]!r} deviates from the "
             f"uniform grid value {expected[i]!r}"
         )
 
@@ -245,7 +254,7 @@ def calibrate_with_tone(
     )
     if neighborhood.size == 0:
         raise ToneNotFoundError("tone too close to the grid edge to calibrate")
-    local_bg = float(np.median(neighborhood))
+    local_bg = median(neighborhood)
     if spectrum.values[idx] < 10.0 * local_bg:
         raise ToneNotFoundError(
             f"no tone at {tone_frequency} Hz: bin is below 10x the local background"

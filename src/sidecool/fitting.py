@@ -30,7 +30,9 @@ from .spectra import (
     PeakGrid,
     Spectrum,
     evaluate_background,
+    median,
     peak_model,
+    percentile,
 )
 
 __all__ = [
@@ -152,11 +154,21 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     lam = 1e-3
     n_iter = 0
     converged = False
-    jac = problem.jacobian(params)
 
+    # One buffer per fit for the weighted Jacobian transpose. A fresh one per
+    # step lands on the heap top, and glibc trims and re-faults those pages
+    # step after step.
+    jtw = np.empty((params.size, w.size))
+
+    def linearized(params):
+        # Fill jtw and return the normal matrix at params. The loop ends at
+        # the point of the last one built, so it also gives the covariance.
+        jac = problem.jacobian(params)
+        np.multiply(jac.T, w, out=jtw)
+        return jtw @ jac
+
+    normal = linearized(params)
     for n_iter in range(1, MAX_ITERATIONS + 1):
-        jtw = jac.T * w
-        normal = jtw @ jac
         grad = jtw @ resid
         diag = normal.diagonal().copy()
         # Parameters pinned to a bound with the descent direction pointing
@@ -174,11 +186,12 @@ def nlls_fit(problem: FitProblem) -> FitResult:
             break
         # With every parameter free, no sub-matrix copy and no scatter.
         all_free = free.all()
+        system = normal
         if not all_free:
-            normal, grad, diag = normal[np.ix_(free, free)], grad[free], diag[free]
+            system, grad, diag = normal[np.ix_(free, free)], grad[free], diag[free]
         accepted = False
         for _ in range(25):
-            damped = normal.copy()
+            damped = system.copy()
             damped.flat[:: diag.size + 1] += lam * diag
             try:
                 solved = np.linalg.solve(damped, grad)
@@ -204,15 +217,13 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         delta = chi2 - chi2_t
         params, resid, chi2 = trial, resid_t, chi2_t
         lam = max(lam / 3.0, 1e-14)
-        jac = problem.jacobian(params)
+        normal = linearized(params)
         if delta <= REL_TOL * max(chi2, 1e-30):
             converged = True
             break
 
     dof = max(problem.data.size - params.size, 1)
     reduced = chi2 / dof
-    jtw = jac.T * w
-    normal = jtw @ jac
     # Parameters with no effect at the solution get infinite variance rather
     # than poisoning the inversion for the rest.
     live = normal.diagonal() > 0
@@ -258,14 +269,31 @@ def _moving_average(values: np.ndarray) -> np.ndarray:
     return np.convolve(values, kernel, mode="same") / norm
 
 
+_LEVEL_MEMO: list = []  # ((n_averages, bytes of values), (smooth, var)), newest last
+
+
 def _level_and_variance(values: np.ndarray, n_averages: int):
-    """The smoothed level and periodogram_variance, from one smoothing pass."""
-    smooth = _moving_average(values)
-    positive = smooth[smooth > 0]
-    if positive.size == 0:
-        raise ValueError("spectrum has no positive level to estimate variance from")
-    floor = 0.05 * float(np.median(positive))
-    return smooth, np.clip(smooth, floor, None) ** 2 / n_averages
+    """The smoothed level and periodogram_variance, from one smoothing pass.
+
+    analyze_peak asks for the same spectrum's pair four times (pass 1's
+    fit_background and the three fit_peak calls), with another spectrum's
+    in between, so the two most recent results are kept, keyed by the bytes
+    of the values. The function is pure, so a hit cannot change a result;
+    the kept arrays are read-only, so no caller can change them either."""
+    values = np.asarray(values, dtype=float)
+    key = (n_averages, values.tobytes())
+    hit = next((result for k, result in _LEVEL_MEMO if k == key), None)
+    if hit is None:
+        smooth = _moving_average(values)
+        positive = smooth[smooth > 0]
+        if positive.size == 0:
+            raise ValueError("spectrum has no positive level to estimate variance from")
+        floor = 0.05 * median(positive)
+        hit = smooth, np.clip(smooth, floor, None) ** 2 / n_averages
+        for array in hit:
+            array.flags.writeable = False
+    _LEVEL_MEMO[:] = [e for e in _LEVEL_MEMO if e[0] != key][-1:] + [(key, hit)]
+    return hit
 
 
 def periodogram_variance(values: np.ndarray, n_averages: int) -> np.ndarray:
@@ -275,7 +303,7 @@ def periodogram_variance(values: np.ndarray, n_averages: int) -> np.ndarray:
     so background-subtracted spectra cannot produce zero or negative
     variances.
     """
-    return _level_and_variance(values, n_averages)[1]
+    return _level_and_variance(values, n_averages)[1].copy()
 
 
 def spurious_bin_mask(values: np.ndarray, n_averages: int) -> np.ndarray:
@@ -316,7 +344,7 @@ def fit_background(
         raise ValueError("too few retained bins for a background fit")
     f_k = f[keep]
     y_k = spectrum.values[keep]
-    var = periodogram_variance(spectrum.values, spectrum.n_averages)[keep]
+    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1][keep]
     weights = 1.0 / var
 
     # stage 1: tail only. The power law is pivoted at the band's geometric
@@ -324,10 +352,10 @@ def fit_background(
     # parameterization puts the minimum in a curved valley the minimizer
     # crawls along.
     f_pivot = math.sqrt(f_k[0] * f_k[-1])
-    offset0 = float(np.percentile(y_k, 10))
+    offset0 = percentile(y_k, 10)
     i_pivot = int(np.searchsorted(f_k, f_pivot))
     amp0 = max(
-        float(np.median(y_k[max(i_pivot - 20, 0) : i_pivot + 20]) - offset0),
+        median(y_k[max(i_pivot - 20, 0) : i_pivot + 20]) - offset0,
         1e-12 * max(abs(offset0), 1e-30),
     )
 
@@ -390,7 +418,7 @@ def fit_background(
     width0 = max(float(above.sum()) * spectrum.f_step, 2.0 * spectrum.f_step)
 
     # skip the beat stage when the residual bump is consistent with noise
-    local_sigma = math.sqrt(float(np.median(var)))
+    local_sigma = math.sqrt(median(var))
     if beat_amp0 < 3.0 * local_sigma:
         return tail_only(tail_fit.params)
 
@@ -482,13 +510,13 @@ def peak_initial_guess(
     sl = spectrum.window_slice(*window)
     vals = spectrum.values[sl]
     f = spectrum.frequencies[sl]
-    median = float(np.median(vals))
+    level = median(vals)
     i_pk = int(np.argmax(vals))  # leftmost on exact ties
     peak = float(vals[i_pk])
-    if peak < 3.0 * median or peak <= 0:
+    if peak < 3.0 * level or peak <= 0:
         raise PeakNotFoundError("no peak in window")
     edge = np.concatenate([vals[: max(vals.size // 20, 3)], vals[-max(vals.size // 20, 3):]])
-    a0 = float(np.median(edge))
+    a0 = median(edge)
     half = a0 + (peak - a0) / 2.0
     i_lo = i_pk
     while i_lo > 0 and vals[i_lo] > half:

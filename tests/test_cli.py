@@ -313,6 +313,7 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     assert code == 1
     line = _one_error_line(capsys)
     named = {
+        "one-column-spectrum": [f"{tmp_path / 'one.csv'}:6", "expected two columns"],
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
         "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 6x6"],

@@ -91,6 +91,49 @@ def test_empty_file_rejected(tmp_path):
         dataio.read_spectrum(path)
 
 
+_HEADER = "# units=hz2_per_hz\n# n_averages=10\n# f_start=100.0\n# f_step=10.0\n"
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        ("100.0,2.0\n110.0,3.0,9.0\n120.0,4.0\n", 6, "expected two columns"),
+        ("100.0,2.0\n110.0\n120.0,4.0\n", 6, "expected two columns"),
+        # 3 + 1 cells: an even count, so the cells would reshape into pairs
+        ("100.0,2.0\n110.0,3.0,9.0\n120.0\n130.0,5.0\n", 6, "expected two columns"),
+        ("100.0,2.0\n110.0\n120.0,3.0,9.0\n130.0,5.0\n", 6, "expected two columns"),
+        ("100.0,2.0\n110.0,abc\n120.0,4.0\n", 6, "non-numeric value"),
+        # the first bad row is named, whatever is wrong with a later one
+        ("100.0,x\n110.0\n", 5, "non-numeric value"),
+        ("100.0\n110.0,x\n", 5, "expected two columns"),
+    ],
+    ids=[
+        "three-columns",
+        "one-column",
+        "three-then-one",
+        "one-then-three",
+        "non-numeric",
+        "non-numeric-first",
+        "columns-first",
+    ],
+)
+def test_malformed_row_names_its_line(tmp_path, rows, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(_HEADER + rows)
+    with pytest.raises(SpectrumFormatError) as info:
+        dataio.read_spectrum(path)
+    assert type(info.value) is SpectrumFormatError
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
+def test_whitespace_separated_rows_are_read(tmp_path):
+    path = tmp_path / "ws.csv"
+    path.write_text(_HEADER + "100.0 2.0\n110.0\t3.0\n120.0,  4.0\n 130.0   5.0 \n")
+    spec = dataio.read_spectrum(path)
+    assert np.array_equal(spec.values, [2.0, 3.0, 4.0, 5.0])
+    assert spec.values.flags.c_contiguous
+
+
 def test_atomic_write_replaces_content(tmp_path):
     path = tmp_path / "out.txt"
     dataio.atomic_write_text(path, "first")

@@ -149,6 +149,28 @@ def test_periodogram_variance_floor_is_positive():
     assert np.all(var > 0)
 
 
+def test_level_memo_follows_the_values():
+    """The smoothed level and variance are kept per spectrum's bytes: values
+    changed in place or another n_averages recompute, and a hit gives what a
+    fresh computation gives."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(1.0, 2.0, 500)
+    first = fitting._level_and_variance(x, 10)
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    x[250] += 5.0
+    changed = fitting._level_and_variance(x, 10)
+    assert not np.array_equal(changed[0], first[0])
+    other_m = fitting._level_and_variance(x, 20)
+    assert np.array_equal(other_m[1], changed[1] / 2.0)
+    hit = fitting._level_and_variance(x.copy(), 10)
+    assert hit[1] is changed[1]
+    fitting._LEVEL_MEMO.clear()
+    fresh = fitting._level_and_variance(x, 10)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, changed))
+    var = fitting.periodogram_variance(x, 10)
+    assert var.flags.writeable and np.array_equal(var, fresh[1])
+
+
 def test_spurious_bin_mask_flags_spike_keeps_rest():
     rng = np.random.default_rng(1)
     values = rng.chisquare(200, 1000) / 200 * 2.0

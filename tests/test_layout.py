@@ -1,7 +1,8 @@
 """Static checks on the package layout: modules use only each other's public
 names, every ``__all__`` entry exists in its module, every module-level
-import is used, the package namespace re-exports only public names, and
-nothing in the package imports scipy (only numpy is a run-time dependency)."""
+import is used, the package namespace re-exports only public names, nothing
+in the package imports scipy (only numpy is a run-time dependency), and
+nothing calls a numpy function that imports numpy.ma."""
 
 import ast
 import os
@@ -115,6 +116,24 @@ def _scipy_imports(tree: ast.Module) -> list[str]:
     return found
 
 
+# np.median and np.nanmedian import numpy.ma in their NaN check, np.percentile
+# and np.quantile through np.unique; each CLI process would pay for it.
+NUMPY_MA_CALLS = ("median", "percentile", "quantile", "nanmedian", "unique")
+
+
+def _numpy_ma_calls(tree: ast.Module) -> list[str]:
+    """Calls of NUMPY_MA_CALLS as attributes of np or numpy."""
+    return [
+        f"line {node.lineno}: {node.func.value.id}.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in NUMPY_MA_CALLS
+    ]
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -143,6 +162,11 @@ def test_no_scipy_imports(path):
     assert _scipy_imports(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_ma_calls(path):
+    assert _numpy_ma_calls(_parse(path)) == []
+
+
 def test_cli_import_loads_no_scipy():
     """A fresh interpreter that imports the CLI has no scipy module loaded."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -162,6 +186,47 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_commands_load_no_numpy_ma(tmp_path):
+    """synth, fit-peak --plot-data and cooling-curve --plot-data, run through
+    cli.main in a fresh interpreter, leave numpy.ma unloaded."""
+    script = f"""
+import math, sys, warnings
+from sidecool import cli, dataio, physics, spectra
+warnings.simplefilter("ignore")
+two_pi = 2.0 * math.pi
+d = {str(tmp_path)!r}
+dataio.save_config(dataio.ExperimentConfig(
+    cavity=physics.CavitySpec(kappa=two_pi * 204e3, detuning=-two_pi * 480e3),
+    modes=[physics.MechMode(omega_m=two_pi * 256e3, q_factor=1.18e7, temperature=300.0)],
+    detection=spectra.DetectionConfig(probe_kappa=two_pi * 204e3),
+    noise=physics.LaserNoise(s_phi_phi=2.2e-2 / 256e3**2),
+    calibration_tone=spectra.CalibrationTone(frequency_hz=340e3, power_hz2=10.0),
+    g0=two_pi * 2.1,
+), d + "/config.json")
+cfg = ["--config", d + "/config.json"]
+assert cli.main(["synth", *cfg, "--seed", "7", "--out-dir", d, "--points", "3",
+                 "--f-step-hz", "50", "--floor", "3.5e-3"]) == 0
+frags = [f"{{d}}/frag_{{i}}.json" for i in range(3)]
+for i, frag in enumerate(frags):
+    assert cli.main(["fit-peak", *cfg, "--spectrum", f"{{d}}/spectrum_{{i:03d}}.csv",
+                     "--out", frag, "--plot-data", f"{{d}}/plot_{{i}}.tsv"]) == 0
+assert cli.main(["cooling-curve", *cfg, *frags, "--out", d + "/report.json",
+                 "--plot-data", d + "/curve.tsv"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "curve.tsv").exists()
+    assert proc.stdout.strip() == "False"
+
+
 def test_package_namespace_names_are_public():
     """Every name sidecool/__init__.py imports from a submodule is in that
     submodule's __all__."""
@@ -177,7 +242,8 @@ def test_package_namespace_names_are_public():
 
 def test_checks_catch_violations():
     """The checks flag a private cross-module read, a private import, a
-    stale __all__ entry, an unused import and a scipy import."""
+    stale __all__ entry, an unused import, a scipy import and a call of a
+    numpy function that imports numpy.ma."""
     tree = ast.parse(
         "from . import fitting\n"
         "from .physics import _sideband_response\n"
@@ -204,3 +270,19 @@ def test_checks_catch_violations():
             "    from scipy.constants import k\n"
         )
     ) == ["line 1: scipy.stats", "line 4: scipy.constants"]
+    assert _numpy_ma_calls(
+        ast.parse(
+            "import numpy as np\n"
+            "a = np.median(x) + np.percentile(x, 10)\n"
+            "b = np.partition(x, 3)\n"
+            "def f(x):\n"
+            "    return numpy.quantile(x, 0.1), np.nanmedian(x), np.unique(x)\n"
+            "c = x.median()\n"
+        )
+    ) == [
+        "line 2: np.median",
+        "line 2: np.percentile",
+        "line 5: numpy.quantile",
+        "line 5: np.nanmedian",
+        "line 5: np.unique",
+    ]

@@ -25,6 +25,40 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
+# order statistics
+# ---------------------------------------------------------------------------
+
+
+def _order_stat_samples():
+    """Arrays of sizes 1-64 and 4001: distinct values, ties with negatives,
+    signed zeros, and NaN among values."""
+    rng = np.random.default_rng(20261018)
+    for n in [*range(1, 65), 4001]:
+        yield rng.normal(size=n)
+        yield rng.integers(-3, 4, size=n).astype(float)
+        yield np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        with_nan = rng.normal(size=n)
+        with_nan[rng.random(n) < 0.2] = np.nan
+        with_nan[rng.integers(n)] = np.nan
+        yield with_nan
+
+
+def test_median_and_percentile_match_numpy_bit_for_bit():
+    checked = 0
+    for x in _order_stat_samples():
+        before = x.copy()
+        for ours, theirs in (
+            (spectra.median(x), np.median(x)),
+            (spectra.percentile(x, 10), np.percentile(x, 10)),
+        ):
+            assert type(ours) is float
+            assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), x
+        assert np.array_equal(x, before, equal_nan=True)  # input untouched
+        checked += 1
+    assert checked == 65 * 4
+
+
+# ---------------------------------------------------------------------------
 # detection filter
 # ---------------------------------------------------------------------------
 
