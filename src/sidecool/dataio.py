@@ -118,6 +118,13 @@ def _parse_meta(raw: str):
     return as_float
 
 
+def _header_value(path: Path, header: dict[str, str], key: str, parse):
+    try:
+        return parse(header[key])
+    except ValueError:
+        raise SpectrumFormatError(f"{path}: invalid {key} {header[key]!r}") from None
+
+
 def read_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum file.
 
@@ -196,13 +203,18 @@ def read_spectrum(path: str | Path) -> Spectrum:
         missing = [k for k in _REQUIRED_KEYS if k not in header]
         if missing:
             raise MissingHeaderError(f"{path}: missing header keys {missing}")
-        units = SpectrumUnits(header["units"])
-        n_averages = int(header["n_averages"])
-        f_start = float(header["f_start"])
-        f_step = float(header["f_step"])
+        units = _header_value(path, header, "units", SpectrumUnits)
+        n_averages = _header_value(path, header, "n_averages", int)
+        f_start = _header_value(path, header, "f_start", float)
+        f_step = _header_value(path, header, "f_step", float)
 
-    if f_step <= 0:
-        raise SpectrumFormatError(f"{path}: f_step must be positive")
+    # written so that NaN fails
+    if n_averages < 1:
+        raise SpectrumFormatError(f"{path}: n_averages must be at least 1")
+    if not math.isfinite(f_start):
+        raise SpectrumFormatError(f"{path}: f_start must be finite")
+    if not 0.0 < f_step < math.inf:
+        raise SpectrumFormatError(f"{path}: f_step must be positive and finite")
     expected = f_start + f_step * np.arange(len(linenos))
     bad = np.abs(freqs - expected) > 1e-6 * f_step
     if np.any(bad):

@@ -87,19 +87,20 @@ class PeakNotFoundError(ValueError):
 
 @dataclass
 class FitProblem:
-    """A weighted least-squares problem: model(params) predicts data on a
-    fixed grid, weights are per-point inverse variances, and
-    jacobian(params) returns d model / d params as an (n_data, n_params)
-    array. A bound of None leaves that side of the parameter free. model
-    and jacobian must be pure functions of params; nlls_fit calls jacobian
-    only at the parameters of its last accepted model call, so the two may
-    share terms through a memo keyed by the parameters."""
+    """A weighted least-squares problem on a fixed grid; weights are
+    per-point inverse variances, and a bound of None leaves that side of the
+    parameter free.
 
-    model: Callable[[np.ndarray], np.ndarray]
+    model(params) returns (values, fill_jacobian): the predicted data, and a
+    function that writes d model / d params[i] into row i of an
+    (n_params, n_data) array. model must be a pure function of params, and
+    the filler must bind every value it needs when model is called, so that
+    it gives the same result whenever it is called."""
+
+    model: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], None]]]
     data: np.ndarray
     weights: np.ndarray
     initial_params: np.ndarray
-    jacobian: Callable[[np.ndarray], np.ndarray]
     bounds: Sequence[tuple[float | None, float | None]] | None = None
 
     def __post_init__(self) -> None:
@@ -149,25 +150,34 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     params = np.clip(problem.initial_params, lo, hi)
     w = problem.weights
 
-    resid = problem.data - problem.model(params)
-    chi2 = float(w @ resid**2)
+    def evaluated(params):
+        # The model values are dropped here, and each filler right after its
+        # linearization or rejection: arrays kept alive across the next model
+        # call leave holes at the heap top that glibc trims and re-faults.
+        values, fill = problem.model(params)
+        resid = problem.data - values
+        return resid, float(w @ resid**2), fill
+
+    resid, chi2, fill = evaluated(params)
     lam = 1e-3
     n_iter = 0
     converged = False
 
-    # One buffer per fit for the weighted Jacobian transpose. A fresh one per
-    # step lands on the heap top, and glibc trims and re-faults those pages
-    # step after step.
-    jtw = np.empty((params.size, w.size))
+    # One buffer per fit for the Jacobian transpose and one for its weighted
+    # copy: fresh ones per step land on the heap top, and glibc trims and
+    # re-faults those pages step after step.
+    jac_t = np.empty((params.size, w.size))
+    jtw = np.empty_like(jac_t)
 
-    def linearized(params):
-        # Fill jtw and return the normal matrix at params. The loop ends at
+    def linearized(fill):
+        # Fill jac_t and jtw and return the normal matrix. The loop ends at
         # the point of the last one built, so it also gives the covariance.
-        jac = problem.jacobian(params)
-        np.multiply(jac.T, w, out=jtw)
-        return jtw @ jac
+        fill(jac_t)
+        np.multiply(jac_t, w, out=jtw)
+        return jtw @ jac_t.T
 
-    normal = linearized(params)
+    normal = linearized(fill)
+    fill = None
     for n_iter in range(1, MAX_ITERATIONS + 1):
         grad = jtw @ resid
         diag = normal.diagonal().copy()
@@ -203,11 +213,11 @@ def nlls_fit(problem: FitProblem) -> FitResult:
                 step = np.zeros_like(params)
                 step[free] = solved
             trial = (params + step).clip(lo, hi)
-            resid_t = problem.data - problem.model(trial)
-            chi2_t = float(w @ resid_t**2)
+            resid_t, chi2_t, fill = evaluated(trial)
             if math.isfinite(chi2_t) and chi2_t <= chi2 * (1.0 + 1e-12) + 1e-300:
                 accepted = True
                 break
+            fill = None
             lam *= 10.0
         if not accepted:
             # No damped step improves chi^2: we are at a local minimum to
@@ -217,7 +227,8 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         delta = chi2 - chi2_t
         params, resid, chi2 = trial, resid_t, chi2_t
         lam = max(lam / 3.0, 1e-14)
-        normal = linearized(params)
+        normal = linearized(fill)
+        fill = None
         if delta <= REL_TOL * max(chi2, 1e-30):
             converged = True
             break
@@ -332,12 +343,7 @@ def fit_background(
     """Fit the phenomenological background on bins outside the mechanical
     peaks: power-law tail first, then the beat note on the residual, then a
     joint refinement. A beat note that does not stand 3 sigma above the
-    tail residual is skipped, leaving beat_amplitude = 0.
-
-    The tail and beat kernels each keep a one-entry memo keyed by the bytes
-    of their nonlinear parameters (x^-e for the exponent e; d, h, d^2 + h^2
-    for the beat centre and width) that the Jacobian at the last model call's
-    point reuses. Any other point recomputes, so no result can change."""
+    tail residual is skipped, leaving beat_amplitude = 0."""
     f = spectrum.frequencies
     keep = _retained_mask(f, exclusion_windows)
     if keep.sum() < 50:
@@ -362,31 +368,15 @@ def fit_background(
     x_k = f_k / f_pivot
     log_x = np.log(x_k)
 
-    memo = {}  # kernel name -> (key, terms)
-
-    def memoized(name, args, compute):
-        key = args.tobytes()
-        hit = memo.get(name)
-        if hit is None or hit[0] != key:
-            hit = memo[name] = key, compute(*args)
-        return hit[1]
-
-    def tail_power(p):
-        return memoized("tail", p[2:3], lambda e: x_k ** (-e))
-
     def tail_model(p):
-        return p[0] + p[1] * tail_power(p)
+        amp, power = p[1], x_k ** (-p[2])
 
-    # Jacobians are filled row by row and returned transposed (column-major).
-    def tail_rows(p, jac_t):
-        power = tail_power(p)
-        jac_t[0] = 1.0
-        jac_t[1] = power
-        jac_t[2] = -p[1] * power * log_x
-        return jac_t
+        def fill(jac_t):
+            jac_t[0] = 1.0
+            jac_t[1] = power
+            jac_t[2] = -amp * power * log_x
 
-    def tail_jacobian(p):
-        return tail_rows(p, np.empty((3, x_k.size))).T
+        return p[0] + amp * power, fill
 
     tail_fit = nlls_fit(
         FitProblem(
@@ -395,7 +385,6 @@ def fit_background(
             weights=weights,
             initial_params=np.array([offset0, amp0, 2.0]),
             bounds=[(0.0, None), (0.0, None), (0.1, 6.0)],
-            jacobian=tail_jacobian,
         )
     )
     def tail_only(p) -> BackgroundModel:
@@ -409,7 +398,7 @@ def fit_background(
         )
 
     # stage 2: beat note from the residual
-    resid = y_k - tail_model(tail_fit.params)
+    resid = y_k - tail_model(tail_fit.params)[0]
     smooth_resid = _moving_average(resid)
     i_beat = int(np.argmax(smooth_resid))
     beat_amp0 = max(float(smooth_resid[i_beat]), 1e-12)
@@ -423,23 +412,19 @@ def fit_background(
         return tail_only(tail_fit.params)
 
     # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
-    def beat_terms(center, width):
-        d = f_k - center
-        h = width / 2.0
-        return d, h, d**2 + h**2
-
     def full_model(p):
-        _, h, den = memoized("beat", p[3:5], beat_terms)
-        return tail_model(p) + p[5] * h**2 / den
+        tail, fill_tail = tail_model(p)
+        amp, d, h = p[5], f_k - p[3], p[4] / 2.0
+        den = d**2 + h**2
 
-    def full_jacobian(p):
-        d, h, den = memoized("beat", p[3:5], beat_terms)
-        lobe = h**2 / den
-        jac_t = tail_rows(p, np.empty((6, x_k.size)))
-        jac_t[3] = p[5] * 2.0 * d * lobe / den
-        jac_t[4] = p[5] * h * d**2 / den**2
-        jac_t[5] = lobe
-        return jac_t.T
+        def fill(jac_t):
+            fill_tail(jac_t)
+            lobe = h**2 / den
+            jac_t[3] = amp * 2.0 * d * lobe / den
+            jac_t[4] = amp * h * d**2 / den**2
+            jac_t[5] = lobe
+
+        return tail + amp * h**2 / den, fill
 
     span = f_k[-1] - f_k[0]
     try:
@@ -466,7 +451,6 @@ def fit_background(
                     (2.0 * spectrum.f_step, span),
                     (0.0, None),
                 ],
-                jacobian=full_jacobian,
             )
         )
     except (DegenerateFitError, FitConvergenceError):
@@ -607,9 +591,8 @@ def fit_peak(
         warnings.warn("fit window narrower than 10 effective widths", stacklevel=2)
 
     ref = spectrum.values if variance_reference is None else np.asarray(variance_reference)
-    smooth, var = _level_and_variance(ref, spectrum.n_averages)
-    var = var[sl]
-    keep = ref[sl] - smooth[sl] <= SPURIOUS_SIGMA * np.sqrt(var)  # spurious_bin_mask
+    var = _level_and_variance(ref, spectrum.n_averages)[1][sl]
+    keep = spurious_bin_mask(ref, spectrum.n_averages)[sl]
     # never drop the resonance itself: bins within 2 widths of the guess stay
     near_peak = np.abs(TWO_PI * f - init.omega_eff) < 2.0 * init.gamma_eff
     keep |= near_peak
@@ -638,7 +621,6 @@ def fit_peak(
                 (w_lo, w_hi),
                 (TWO_PI * spectrum.f_step, w_hi - w_lo),
             ],
-            jacobian=lambda p: grid.jacobian(p, omega_ref),
         )
     )
 

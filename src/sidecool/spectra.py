@@ -192,8 +192,11 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.f_step <= 0:
-            raise ValueError("f_step must be positive")
+        # written so that NaN fails
+        if not math.isfinite(self.f_start):
+            raise ValueError("f_start must be finite")
+        if not 0.0 < self.f_step < math.inf:
+            raise ValueError("f_step must be positive and finite")
         if self.n_averages < 1:
             raise ValueError("n_averages must be at least 1")
         if not np.all(np.isfinite(self.values)):
@@ -266,7 +269,8 @@ def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
 
     Each is a sum over the +w and -w resonance lobes, with detuning
     u = +-w - omega_eff and q = 1/(u^2 + (gamma_eff/2)^2). Returns L, D and
-    the lobe terms (gamma_eff/2, u+, u-, q+, q-) that PeakGrid.jacobian uses.
+    the lobe terms (gamma_eff/2, u+, u-, q+, q-) that the Jacobian filler of
+    PeakGrid.model uses.
     """
     half = gamma_eff / 2.0
     u_p = w - omega_eff
@@ -292,58 +296,42 @@ def dispersive_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np
 
 
 class PeakGrid:
-    """The six-parameter peak model and its Jacobian on one fixed grid (Hz).
+    """The six-parameter peak model on one fixed grid (Hz).
 
     |C(w)|^2 depends only on the grid and the detection configuration, so it
     is computed once here rather than on every model evaluation. Parameter
     vectors are ordered as LineshapeCoeffs.as_array(); the linear background
     term is taken relative to a fixed omega_ref.
-
-    A one-entry memo keyed by the bytes of (omega_eff, gamma_eff) keeps L, D
-    and their lobe terms, which jacobian reuses at the point of the last
-    model call (where nlls_fit calls it). Any other point recomputes, so the
-    memo only skips rebuilding identical arrays and cannot change a result.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
         self.w = TWO_PI * np.asarray(f, dtype=float)
         self.c_sq = np.abs(detection_filter_c(self.w, detection)) ** 2
-        self._memo_key = self._memo = None
 
-    def _shapes(self, params: np.ndarray):
-        key = np.asarray(params, dtype=float)[4:].tobytes()
-        if key != self._memo_key:
-            self._memo = _lineshapes(self.w, params[4], params[5])
-            self._memo_key = key
-        return self._memo
+    def model(self, params: np.ndarray, omega_ref: float):
+        """The model values at params, and a function that writes
+        d model / d params[i] into row i of a (6, n_bins) array."""
+        a0, a1, a2, a3, omega_eff, gamma_eff = params
+        w, c_sq = self.w, self.c_sq
+        lor, disp, (half, u_p, u_m, q_p, q_m) = _lineshapes(w, omega_eff, gamma_eff)
 
-    def model(self, params: np.ndarray, omega_ref: float) -> np.ndarray:
-        a0, a1, a2, a3, _, _ = params
-        lor, disp, _ = self._shapes(params)
-        return a0 + a1 * (self.w - omega_ref) + self.c_sq * (a2 * lor + a3 * disp)
+        def fill(jac_t):
+            # (dL, dD) / d omega_eff and (dL, dD) / d gamma_eff
+            q_p2, q_m2 = q_p**2, q_m**2
+            u_q2 = u_p * q_p2 + u_m * q_m2
+            d_omega = (
+                2.0 * half * u_q2,
+                2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
+            )
+            d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
+            jac_t[0] = 1.0
+            jac_t[1] = w - omega_ref
+            jac_t[2] = c_sq * lor
+            jac_t[3] = c_sq * disp
+            jac_t[4] = c_sq * (a2 * d_omega[0] + a3 * d_omega[1])
+            jac_t[5] = c_sq * (a2 * d_gamma[0] + a3 * d_gamma[1])
 
-    def jacobian(self, params: np.ndarray, omega_ref: float) -> np.ndarray:
-        """d model / d params, one column per parameter."""
-        _, _, a2, a3, _, _ = params
-        lor, disp, (half, u_p, u_m, q_p, q_m) = self._shapes(params)
-        # (dL, dD) / d omega_eff and (dL, dD) / d gamma_eff
-        q_p2, q_m2 = q_p**2, q_m**2
-        u_q2 = u_p * q_p2 + u_m * q_m2
-        d_omega = (
-            2.0 * half * u_q2,
-            2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
-        )
-        d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
-        # Filled row by row and returned transposed: column-major is the
-        # layout the normal-matrix products read fastest.
-        jac_t = np.empty((6, self.w.size))
-        jac_t[0] = 1.0
-        jac_t[1] = self.w - omega_ref
-        jac_t[2] = self.c_sq * lor
-        jac_t[3] = self.c_sq * disp
-        jac_t[4] = self.c_sq * (a2 * d_omega[0] + a3 * d_omega[1])
-        jac_t[5] = self.c_sq * (a2 * d_gamma[0] + a3 * d_gamma[1])
-        return jac_t.T
+        return a0 + a1 * (w - omega_ref) + c_sq * (a2 * lor + a3 * disp), fill
 
 
 def peak_model(
@@ -359,7 +347,7 @@ def peak_model(
     """
     if omega_ref is None:
         omega_ref = coeffs.omega_eff
-    return PeakGrid(f, detection).model(coeffs.as_array(), omega_ref)
+    return PeakGrid(f, detection).model(coeffs.as_array(), omega_ref)[0]
 
 
 def model_coefficients(

@@ -252,6 +252,13 @@ def _bad_input_argv(case, tmp_path, config_path):
                         "# f_start=1000.0\n# f_step=50.0\n"
                         "frequency_hz,psd\n1000\n1050\n")
         return ["fit-peak", "--config", config_path, "--spectrum", str(path), *out]
+    if case in ("spectrum-nan-f-step", "spectrum-bad-units"):
+        path = tmp_path / "header.csv"
+        f_step, units = ("nan", "hz2_per_hz") if case == "spectrum-nan-f-step" else ("50.0", "volts")
+        path.write_text(f"# units={units}\n# n_averages=10\n"
+                        f"# f_start=1000.0\n# f_step={f_step}\n"
+                        "frequency_hz,psd\n1000,1.0\n1050,1.0\n")
+        return ["fit-peak", "--config", config_path, "--spectrum", str(path), *out]
     if case == "truncated-fragment":
         doc = report.FitReport(peaks=[peak_record(TWO_PI * 1e3, 1.0)]).to_dict()
         path = tmp_path / "frag.json"
@@ -298,6 +305,8 @@ def _bad_input_argv(case, tmp_path, config_path):
     [
         "missing-spectrum",
         "one-column-spectrum",
+        "spectrum-nan-f-step",
+        "spectrum-bad-units",
         "truncated-fragment",
         "fragment-missing-key",
         "fragment-bad-covariance",
@@ -314,6 +323,8 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     line = _one_error_line(capsys)
     named = {
         "one-column-spectrum": [f"{tmp_path / 'one.csv'}:6", "expected two columns"],
+        "spectrum-nan-f-step": [str(tmp_path / "header.csv"), "f_step"],
+        "spectrum-bad-units": [str(tmp_path / "header.csv"), "units", "'volts'"],
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
         "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 6x6"],

@@ -126,6 +126,42 @@ def test_malformed_row_names_its_line(tmp_path, rows, line, message):
     assert str(info.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("f_step", "nan", "f_step must be positive and finite"),
+        ("f_step", "inf", "f_step must be positive and finite"),
+        ("f_step", "-inf", "f_step must be positive and finite"),
+        ("f_start", "nan", "f_start must be finite"),
+        ("f_start", "-inf", "f_start must be finite"),
+        ("n_averages", "0", "n_averages must be at least 1"),
+        ("units", "volts", "invalid units 'volts'"),
+        ("n_averages", "200.0", "invalid n_averages '200.0'"),
+        ("f_step", "fifty", "invalid f_step 'fifty'"),
+        ("f_start", "", "invalid f_start ''"),
+    ],
+)
+def test_bad_header_value_names_the_file_and_key(tmp_path, key, value, message):
+    path = tmp_path / "header.csv"
+    fields = {"units": "hz2_per_hz", "n_averages": "10", "f_start": "100.0",
+              "f_step": "10.0", key: value}
+    header = "".join(f"# {k}={v}\n" for k, v in fields.items())
+    path.write_text(header + "100.0,2.0\n110.0,3.0\n")
+    with pytest.raises(SpectrumFormatError) as info:
+        dataio.read_spectrum(path)
+    assert type(info.value) is SpectrumFormatError
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "f_start, f_step",
+    [(math.nan, 10.0), (math.inf, 10.0), (100.0, math.nan), (100.0, math.inf), (100.0, 0.0)],
+)
+def test_spectrum_rejects_a_non_finite_grid(f_start, f_step):
+    with pytest.raises(ValueError, match="f_st"):
+        Spectrum(f_start=f_start, f_step=f_step, values=np.ones(4))
+
+
 def test_whitespace_separated_rows_are_read(tmp_path):
     path = tmp_path / "ws.csv"
     path.write_text(_HEADER + "100.0 2.0\n110.0\t3.0\n120.0,  4.0\n 130.0   5.0 \n")

@@ -27,6 +27,18 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
+def _problem(model, jacobian, **kwargs):
+    """A FitProblem from a model and its Jacobian as (n_data, n_params)."""
+
+    def evaluated(p):
+        def fill(jac_t):
+            jac_t[:] = jacobian(p).T
+
+        return model(p), fill
+
+    return FitProblem(model=evaluated, **kwargs)
+
+
 def _exponential_jacobian(x):
     """d/dp of p[0] exp(-p[1] x)."""
     def jacobian(p):
@@ -40,7 +52,7 @@ def test_nlls_exact_recovery_exponential():
     x = np.linspace(0.0, 5.0, 60)
     true = np.array([2.0, 0.7])
     data = true[0] * np.exp(-true[1] * x)
-    fit = nlls_fit(FitProblem(
+    fit = nlls_fit(_problem(
         model=lambda p: p[0] * np.exp(-p[1] * x),
         data=data,
         weights=np.ones_like(x),
@@ -55,7 +67,7 @@ def test_nlls_exact_recovery_exponential():
 def test_nlls_converges_when_started_at_solution():
     x = np.linspace(0.0, 5.0, 30)
     data = 3.0 * x + 1.0
-    fit = nlls_fit(FitProblem(
+    fit = nlls_fit(_problem(
         model=lambda p: p[0] * x + p[1],
         data=data,
         weights=np.ones_like(x),
@@ -79,7 +91,7 @@ def test_nlls_respects_bounds(bounds, pinned):
     parameter ends exactly on the bound it crosses."""
     x = np.linspace(0.0, 5.0, 40)
     data = 2.0 * np.exp(-0.7 * x)
-    fit = nlls_fit(FitProblem(
+    fit = nlls_fit(_problem(
         model=lambda p: p[0] * np.exp(-p[1] * x),
         data=data,
         weights=np.ones_like(x),
@@ -97,7 +109,7 @@ def test_nlls_covariance_matches_linear_algebra():
     x = np.linspace(1.0, 10.0, 200)
     sigma = 0.1 * np.ones_like(x)
     data = 2.0 * x + 5.0 + rng.normal(0.0, 0.1, x.size)
-    fit = nlls_fit(FitProblem(
+    fit = nlls_fit(_problem(
         model=lambda p: p[0] * x + p[1],
         data=data,
         weights=1.0 / sigma**2,
@@ -115,7 +127,7 @@ def test_nlls_covariance_matches_linear_algebra():
 def test_nlls_dead_parameter_gets_infinite_variance():
     x = np.linspace(0.0, 5.0, 30)
     data = 3.0 * x
-    fit = nlls_fit(FitProblem(
+    fit = nlls_fit(_problem(
         model=lambda p: p[0] * x + 0.0 * p[1],
         data=data,
         weights=np.ones_like(x),
@@ -128,7 +140,7 @@ def test_nlls_dead_parameter_gets_infinite_variance():
 
 def test_fit_problem_rejects_too_few_points():
     with pytest.raises(ValueError):
-        FitProblem(
+        _problem(
             model=lambda p: p,
             data=np.array([1.0, 2.0, 3.0]),
             weights=np.ones(3),
@@ -397,8 +409,11 @@ def _assert_jacobians_match(fits, sizes):
     assert [problem.initial_params.size for problem, _ in fits] == sizes
     for problem, result in fits:
         for params in (problem.initial_params, result.params):
-            analytic = problem.jacobian(params)
-            reference = _central_jacobian(problem.model, params)
+            values, fill = problem.model(params)
+            analytic = np.empty((params.size, values.size))
+            fill(analytic)
+            analytic = analytic.T
+            reference = _central_jacobian(lambda p: problem.model(p)[0], params)
             assert analytic.shape == reference.shape
             for i in range(params.size):
                 err = np.linalg.norm(analytic[:, i] - reference[:, i])
@@ -427,15 +442,16 @@ def test_peak_jacobians_match_central_differences(
     _assert_jacobians_match(fits, [6])
 
 
-def test_kernel_memo_gives_same_bits(cavity, mode01, detection, phase_noise):
-    """model and jacobian give the same bits whatever was evaluated before.
+def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise):
+    """A filler gives the Jacobian at the point of its model call, whatever
+    happens between that call and the fill.
 
-    The kernels memoize the terms of the last point they saw. Each recorded
-    problem is evaluated at its start x0 and at points x_j that differ from
-    x0 in parameter j alone, in interleaved order, so a memo that is stale
-    or keyed on too few parameters shows. Each value must equal the same
-    evaluation on a freshly recorded problem. The 1e-5 central-difference
-    tests would not see a stale memo of a nearby point.
+    Each recorded problem (tail, beat and joint) gets a filler at x0; the
+    model is then evaluated at points x_j that differ from x0 in parameter j
+    alone, and x0 is changed in place. The filler must still give the bits
+    that a filler from a fresh model(x0) gives, so a kernel that reads its
+    parameters or shared state lazily fails. The 1e-5 central-difference
+    tests would not see the Jacobian of a nearby point.
     """
     background, _ = _background_spectrum()
     peak = spectra.synthesize_measured_spectrum(
@@ -446,40 +462,32 @@ def test_kernel_memo_gives_same_bits(cavity, mode01, detection, phase_noise):
         lambda: fitting.fit_background(background),
         lambda: fitting.fit_peak(peak, (200e3, 300e3), detection, theta=theta),
     ]
+
+    def filled(fill, shape):
+        jac_t = np.full(shape, np.nan)
+        fill(jac_t)
+        return jac_t
+
     sizes = []
     for run in runs:
-        fits = _recorded_fits(run)
-        n = max(problem.initial_params.size for problem, _ in fits)
-        fresh = [_recorded_fits(run) for _ in range(n + 1)]
-        for k, (problem, _) in enumerate(fits):
+        fits, fresh = _recorded_fits(run), _recorded_fits(run)
+        for (problem, _), (fresh_problem, _) in zip(fits, fresh):
             sizes.append(problem.initial_params.size)
-            x0 = problem.initial_params
-            points = [x0]
+            start = problem.initial_params.copy()
+            x0 = start.copy()
+            values, fill = problem.model(x0)
             for j in range(x0.size):
-                points.append(x0.copy())
-                points[-1][j] += 1e-3 * max(abs(x0[j]), 1.0)
-            for j in range(1, x0.size + 1):
-                for kind, i in (("model", 0), ("jacobian", j), ("model", j), ("jacobian", 0)):
-                    got = getattr(problem, kind)(points[i])
-                    want = getattr(fresh[i][k][0], kind)(points[i])
-                    assert np.array_equal(got, want), (x0.size, kind, i)
+                x_j = start.copy()
+                x_j[j] += 1e-3 * max(abs(x_j[j]), 1.0)
+                problem.model(x_j)
+            x0 *= 1.01
+            shape = (x0.size, values.size)
+            want_values, want_fill = fresh_problem.model(start)
+            assert np.array_equal(values, want_values), x0.size
+            got = filled(fill, shape)
+            assert np.array_equal(got, filled(want_fill, shape)), x0.size
+            assert np.all(np.isfinite(got)), x0.size
     assert sizes == [3, 6, 6]
-
-    # PeakGrid alone: a call at one point, then the other kernel at another
-    grid_f = 156e3 + 50.0 * np.arange(2001)
-    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * 3e3)
-    p = spectra.model_coefficients(mode01, cavity, drive, phase_noise, floor=5e-3)[0]
-    p = p.as_array() + np.array([0.0, 1e-9, 0.0, 0.0, 0.0, 0.0])
-    omega_ref = TWO_PI * 255e3
-    for j in (4, 5):
-        q = p.copy()
-        q[j] *= 1.001
-        grid = spectra.PeakGrid(grid_f, detection)
-        grid.model(p, omega_ref)
-        fresh_jac = spectra.PeakGrid(grid_f, detection).jacobian(q, omega_ref)
-        assert np.array_equal(grid.jacobian(q, omega_ref), fresh_jac)
-        fresh_model = spectra.PeakGrid(grid_f, detection).model(p, omega_ref)
-        assert np.array_equal(grid.model(p, omega_ref), fresh_model)
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):

@@ -227,6 +227,26 @@ print("numpy.ma" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
+def test_unregistered_marker_fails_collection(tmp_path):
+    """Under the project's pytest configuration a mistyped marker is an
+    error, so a slow test cannot run silently in the fast tier."""
+    root = PACKAGE.parent.parent
+    (tmp_path / "pyproject.toml").write_text((root / "pyproject.toml").read_text())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_typo.py").write_text(
+        "import pytest\n\n\n@pytest.mark.slwo\ndef test_typo():\n    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "'slwo' not found in `markers`" in proc.stdout
+
+
 def test_package_namespace_names_are_public():
     """Every name sidecool/__init__.py imports from a submodule is in that
     submodule's __all__."""
