@@ -148,10 +148,28 @@ def _default_background(mode_f: float, floor: float, args) -> spectra.Background
     )
 
 
+# (options, rule, test) for synth's numeric options; each test is written so
+# that NaN fails, and an option left unset is not tested.
+_SYNTH_RULES = (
+    ("f_step_hz points raw_scale", "must be positive", lambda v: v > 0),
+    ("n_averages", "must be at least 1", lambda v: v >= 1),
+    ("f_start_hz", "must be positive and finite", lambda v: 0 < v < math.inf),
+    ("f_stop_hz beat_center_hz", "must be finite", math.isfinite),
+    (
+        "floor tail_amplitude beat_amplitude",
+        "must be finite and not negative",
+        lambda v: 0 <= v < math.inf,
+    ),
+    ("gamma_opt_hz", "entries must be finite", lambda v: all(map(math.isfinite, v))),
+)
+
+
 def cmd_synth(args) -> int:
-    for option in ("f_step_hz", "points", "raw_scale"):
-        if not (getattr(args, option) > 0):  # written so that NaN fails
-            return _fail(f"--{option.replace('_', '-')} must be positive")
+    for options, rule, test in _SYNTH_RULES:
+        for option in options.split():
+            value = getattr(args, option)
+            if value is not None and not test(value):
+                return _fail(f"--{option.replace('_', '-')} {rule}")
     config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for synthesis")

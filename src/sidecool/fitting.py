@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,9 +127,6 @@ class FitResult:
     chi2: float
     n_iterations: int
     converged: bool
-
-    def sigma(self, i: int) -> float:
-        return math.sqrt(max(self.covariance[i, i], 0.0))
 
 
 MAX_ITERATIONS = 200
@@ -286,11 +283,12 @@ _LEVEL_MEMO: list = []  # ((n_averages, bytes of values), (smooth, var)), newest
 def _level_and_variance(values: np.ndarray, n_averages: int):
     """The smoothed level and periodogram_variance, from one smoothing pass.
 
-    analyze_peak asks for the same spectrum's pair four times (pass 1's
-    fit_background and the three fit_peak calls), with another spectrum's
-    in between, so the two most recent results are kept, keyed by the bytes
-    of the values. The function is pure, so a hit cannot change a result;
-    the kept arrays are read-only, so no caller can change them either."""
+    analyze_peak asks for the same spectrum's pair three times (its
+    fit_background, its spurious-bin mask and its full-band weights), and
+    fit_peak twice; the two most recent results are kept, keyed by the
+    bytes of the values. The function is pure, so a hit cannot change a
+    result; the kept arrays are read-only, so no caller can change them
+    either."""
     values = np.asarray(values, dtype=float)
     key = (n_averages, values.tobytes())
     hit = next((result for k, result in _LEVEL_MEMO if k == key), None)
@@ -336,6 +334,56 @@ def _retained_mask(f: np.ndarray, exclusion_windows) -> np.ndarray:
     return keep
 
 
+def _background_models(f: np.ndarray, f_step: float):
+    """f_pivot, fit_background's two models on the retained grid f (Hz), and
+    the bounds of their parameters: (offset, amplitude at f_pivot, exponent)
+    for the tail, and the beat's (centre, width, amplitude) after them. Each
+    model returns its values and a filler for its rows.
+
+    The power law is pivoted at the band's geometric mean so amplitude and
+    exponent decorrelate; a raw amp * f^-e parameterization puts the minimum
+    in a curved valley the minimizer crawls along.
+    """
+    f_pivot = math.sqrt(f[0] * f[-1])
+    x = f / f_pivot
+    log_x = np.log(x)
+
+    def tail_model(p):
+        amp, power = p[1], x ** (-p[2])
+
+        def fill(jac_t):
+            jac_t[0] = 1.0
+            jac_t[1] = power
+            jac_t[2] = -amp * power * log_x
+
+        return p[0] + amp * power, fill
+
+    # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
+    def full_model(p):
+        tail, fill_tail = tail_model(p)
+        amp, d, h = p[5], f - p[3], p[4] / 2.0
+        den = d**2 + h**2
+
+        def fill(jac_t):
+            fill_tail(jac_t)
+            lobe = h**2 / den
+            jac_t[3] = amp * 2.0 * d * lobe / den
+            jac_t[4] = amp * h * d**2 / den**2
+            jac_t[5] = lobe
+
+        return tail + amp * h**2 / den, fill
+
+    bounds = [(0.0, None), (0.0, None), (0.1, 6.0)]
+    bounds += [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), (0.0, None)]
+    return f_pivot, tail_model, full_model, bounds
+
+
+def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
+    """The BackgroundModel of a tail amplitude given at f_pivot; beat is
+    (centre, width, amplitude), or empty for no beat note."""
+    return BackgroundModel(offset, amp * f_pivot**exponent, exponent, *beat)
+
+
 def fit_background(
     spectrum: Spectrum,
     exclusion_windows: Sequence[tuple[float, float]] = (),
@@ -352,50 +400,25 @@ def fit_background(
     y_k = spectrum.values[keep]
     var = _level_and_variance(spectrum.values, spectrum.n_averages)[1][keep]
     weights = 1.0 / var
+    f_pivot, tail_model, full_model, bounds = _background_models(f_k, spectrum.f_step)
 
-    # stage 1: tail only. The power law is pivoted at the band's geometric
-    # mean so amplitude and exponent decorrelate; a raw amp * f^-e
-    # parameterization puts the minimum in a curved valley the minimizer
-    # crawls along.
-    f_pivot = math.sqrt(f_k[0] * f_k[-1])
+    # stage 1: tail only
     offset0 = percentile(y_k, 10)
     i_pivot = int(np.searchsorted(f_k, f_pivot))
     amp0 = max(
         median(y_k[max(i_pivot - 20, 0) : i_pivot + 20]) - offset0,
         1e-12 * max(abs(offset0), 1e-30),
     )
-
-    x_k = f_k / f_pivot
-    log_x = np.log(x_k)
-
-    def tail_model(p):
-        amp, power = p[1], x_k ** (-p[2])
-
-        def fill(jac_t):
-            jac_t[0] = 1.0
-            jac_t[1] = power
-            jac_t[2] = -amp * power * log_x
-
-        return p[0] + amp * power, fill
-
     tail_fit = nlls_fit(
         FitProblem(
             model=tail_model,
             data=y_k,
             weights=weights,
             initial_params=np.array([offset0, amp0, 2.0]),
-            bounds=[(0.0, None), (0.0, None), (0.1, 6.0)],
+            bounds=bounds[:3],
         )
     )
-    def tail_only(p) -> BackgroundModel:
-        return BackgroundModel(
-            tail_offset=p[0],
-            tail_amplitude=p[1] * f_pivot ** p[2],
-            tail_exponent=p[2],
-            beat_amplitude=0.0,
-            beat_center=f_k[0],
-            beat_width=spectrum.f_step,
-        )
+    tail_only = _pivoted(f_pivot, *tail_fit.params, f_k[0], spectrum.f_step, 0.0)
 
     # stage 2: beat note from the residual
     resid = y_k - tail_model(tail_fit.params)[0]
@@ -409,62 +432,22 @@ def fit_background(
     # skip the beat stage when the residual bump is consistent with noise
     local_sigma = math.sqrt(median(var))
     if beat_amp0 < 3.0 * local_sigma:
-        return tail_only(tail_fit.params)
+        return tail_only
 
-    # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
-    def full_model(p):
-        tail, fill_tail = tail_model(p)
-        amp, d, h = p[5], f_k - p[3], p[4] / 2.0
-        den = d**2 + h**2
-
-        def fill(jac_t):
-            fill_tail(jac_t)
-            lobe = h**2 / den
-            jac_t[3] = amp * 2.0 * d * lobe / den
-            jac_t[4] = amp * h * d**2 / den**2
-            jac_t[5] = lobe
-
-        return tail + amp * h**2 / den, fill
-
-    span = f_k[-1] - f_k[0]
     try:
         full_fit = nlls_fit(
             FitProblem(
                 model=full_model,
                 data=y_k,
                 weights=weights,
-                initial_params=np.array(
-                    [
-                        tail_fit.params[0],
-                        tail_fit.params[1],
-                        tail_fit.params[2],
-                        f_k[i_beat],
-                        width0,
-                        beat_amp0,
-                    ]
-                ),
-                bounds=[
-                    (0.0, None),
-                    (0.0, None),
-                    (0.1, 6.0),
-                    (f_k[0], f_k[-1]),
-                    (2.0 * spectrum.f_step, span),
-                    (0.0, None),
-                ],
+                initial_params=[*tail_fit.params, f_k[i_beat], width0, beat_amp0],
+                bounds=bounds,
             )
         )
     except (DegenerateFitError, FitConvergenceError):
         # an evaporating beat note makes its shape parameters unidentifiable
-        return tail_only(tail_fit.params)
-    p = full_fit.params
-    return BackgroundModel(
-        tail_offset=p[0],
-        tail_amplitude=p[1] * f_pivot ** p[2],
-        tail_exponent=p[2],
-        beat_center=p[3],
-        beat_width=p[4],
-        beat_amplitude=p[5],
-    )
+        return tail_only
+    return _pivoted(f_pivot, *full_fit.params)
 
 
 def subtract_background(spectrum: Spectrum, background: BackgroundModel) -> Spectrum:
@@ -511,11 +494,11 @@ def peak_initial_guess(
     gamma_hz = max((i_hi - i_lo) * spectrum.f_step, 2.0 * spectrum.f_step)
     omega_eff = TWO_PI * float(f[i_pk])
     gamma_eff = TWO_PI * gamma_hz
-    c_sq = float(PeakGrid(f, detection).c_sq[i_pk])
-    a2 = (peak - a0) * (gamma_eff / 2.0) / c_sq
-    return LineshapeCoeffs(
-        a0=a0, a1=0.0, a2=a2, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
+    unit = LineshapeCoeffs(
+        a0=0.0, a1=0.0, a2=1.0, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
     )
+    a2 = (peak - a0) / float(peak_model(f[i_pk : i_pk + 1], unit, detection)[0])
+    return replace(unit, a0=a0, a2=a2)
 
 
 @dataclass
@@ -562,84 +545,76 @@ def _effective_area(
     return value, math.sqrt(max(var, 0.0))
 
 
+def _kept_bins(spectrum: Spectrum, init: LineshapeCoeffs, exclusion_windows):
+    """Mask of the bins a peak fit keeps, over the whole grid: spurious bins
+    go, except within 2 widths of the guessed peak, and so do caller-declared
+    contaminated regions (e.g. the calibration tone)."""
+    f = spectrum.frequencies
+    keep = spurious_bin_mask(spectrum.values, spectrum.n_averages)
+    keep |= np.abs(TWO_PI * f - init.omega_eff) < 2.0 * init.gamma_eff
+    keep &= _retained_mask(f, exclusion_windows)
+    return keep
+
+
+def _peak_result(params, covariance, reduced_chi2, theta, window, keep):
+    """The PeakFitResult of lineshape parameters ordered as
+    LineshapeCoeffs.as_array(), with their 6x6 covariance, fitted to the
+    bins that keep marks."""
+    coeffs = LineshapeCoeffs.from_array(params)
+    a_eff, a_eff_sigma = _effective_area(
+        coeffs.a2, coeffs.a3, theta, covariance[2:4, 2:4]
+    )
+    return PeakFitResult(
+        coeffs=coeffs,
+        covariance=covariance,
+        reduced_chi2=reduced_chi2,
+        a_eff=a_eff,
+        a_eff_sigma=a_eff_sigma,
+        lorentzian_preferred=abs(coeffs.a3) < math.sqrt(max(covariance[3, 3], 0.0)),
+        theta=theta,
+        window=window,
+        n_points=int(keep.sum()),
+        n_excluded=int((~keep).sum()),
+    )
+
+
 def fit_peak(
     spectrum: Spectrum,
     window: tuple[float, float],
     detection: DetectionConfig,
     theta: float,
-    init: LineshapeCoeffs | None = None,
-    variance_reference: np.ndarray | None = None,
-    exclusion_windows: Sequence[tuple[float, float]] = (),
 ) -> PeakFitResult:
     """Fit the six-parameter lineshape model in a window.
 
     The detection filter |C|^2 is computed from the supplied configuration,
-    never fitted. Bin variances default to the windowed data itself; for
-    background-subtracted spectra pass the pre-subtraction PSD (full grid)
-    as variance_reference. a_eff = a2 + a3/tan(theta) and its uncertainty
-    come from the joint fit.
+    never fitted. Bin variances come from the spectrum itself.
+    a_eff = a2 + a3/tan(theta) and its uncertainty come from the joint fit.
 
     The symmetric (Lorentzian-only) lineshape is flagged as preferred when
     the fitted a3 is within one sigma of zero.
     """
     sl = spectrum.window_slice(*window)
     f = spectrum.frequencies[sl]
-    data = spectrum.values[sl]
-    if init is None:
-        init = peak_initial_guess(spectrum, window, detection)
+    init = peak_initial_guess(spectrum, window, detection)
     if window[1] - window[0] < 10.0 * init.gamma_eff / TWO_PI:
         warnings.warn("fit window narrower than 10 effective widths", stacklevel=2)
 
-    ref = spectrum.values if variance_reference is None else np.asarray(variance_reference)
-    var = _level_and_variance(ref, spectrum.n_averages)[1][sl]
-    keep = spurious_bin_mask(ref, spectrum.n_averages)[sl]
-    # never drop the resonance itself: bins within 2 widths of the guess stay
-    near_peak = np.abs(TWO_PI * f - init.omega_eff) < 2.0 * init.gamma_eff
-    keep |= near_peak
-    # caller-declared contaminated regions (e.g. the calibration tone) go
-    keep &= _retained_mask(f, exclusion_windows)
-    n_excluded = int((~keep).sum())
-    f_fit = f[keep]
-    data_fit = data[keep]
-    weights = 1.0 / var[keep]
-
-    omega_ref = init.omega_eff
+    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1][sl]
+    keep = _kept_bins(spectrum, init, ())[sl]
     w_lo, w_hi = TWO_PI * window[0], TWO_PI * window[1]
-    grid = PeakGrid(f_fit, detection)
-
+    grid = PeakGrid(f[keep], detection)
     joint = nlls_fit(
         FitProblem(
-            model=lambda p: grid.model(p, omega_ref),
-            data=data_fit,
-            weights=weights,
+            model=lambda p: grid.model(p, init.omega_eff),
+            data=spectrum.values[sl][keep],
+            weights=1.0 / var[keep],
             initial_params=init.as_array(),
-            bounds=[
-                (None, None),
-                (None, None),
-                (None, None),
-                (None, None),
-                (w_lo, w_hi),
-                (TWO_PI * spectrum.f_step, w_hi - w_lo),
-            ],
+            bounds=[(None, None)] * 4
+            + [(w_lo, w_hi), (TWO_PI * spectrum.f_step, w_hi - w_lo)],
         )
     )
-
-    coeffs = LineshapeCoeffs.from_array(joint.params)
-    a_eff, a_eff_sigma = _effective_area(
-        coeffs.a2, coeffs.a3, theta, joint.covariance[2:4, 2:4]
-    )
-
-    return PeakFitResult(
-        coeffs=coeffs,
-        covariance=joint.covariance,
-        reduced_chi2=joint.reduced_chi2,
-        a_eff=a_eff,
-        a_eff_sigma=a_eff_sigma,
-        lorentzian_preferred=abs(coeffs.a3) < joint.sigma(3),
-        theta=theta,
-        window=window,
-        n_points=int(data_fit.size),
-        n_excluded=n_excluded,
+    return _peak_result(
+        joint.params, joint.covariance, joint.reduced_chi2, theta, window, keep
     )
 
 
@@ -942,69 +917,73 @@ def analyze_peak(
     search_window: tuple[float, float],
     exclusion_windows: Sequence[tuple[float, float]] = (),
 ) -> tuple[PeakFitResult, BackgroundModel]:
-    """Background-subtract and fit one spectrum's mechanical peak.
+    """Fit one spectrum's mechanical peak and background together.
 
-    The peak window is centered on the peak with a half-width of 15
-    effective widths (floored at 60 bins half-width). The background is
-    fitted three times: first excluding the search window, then twice --
-    once the peak shape is known -- on the full band with that shape
-    subtracted, so broad peaks do not leak into the fitted tail.
+    A background fit that excludes the search window, subtracted, gives the
+    starting peak. One fit over the full band then takes the flat level a0,
+    the lineshape, the power-law tail and the beat note together, so a broad
+    peak's wings cannot leak into the tail. Bins are weighted and excluded
+    as in fit_peak, and so are the caller's exclusion_windows.
+
+    The tail carries the slope and a0 is the only flat level: the result has
+    a1 = 0 with a zero covariance row and column, and tail_offset = 0.
+    window is the peak's reach, the fitted centre +- max(15 effective
+    widths, 60 bins) clipped to the band.
     """
     theta = sideband_angle(cavity, mode.omega_m)
-    f = spectrum.frequencies
-
-    def one_pass(bg_spectrum, bg_exclusions, init=None, window_cap=None):
-        background = fit_background(bg_spectrum, bg_exclusions)
-        clean = subtract_background(spectrum, background)
-        if init is None:
-            init = peak_initial_guess(clean, search_window, detection)
-        f_pk = init.omega_eff / TWO_PI
-        half = max(15.0 * init.gamma_eff / TWO_PI, 60.0 * spectrum.f_step)
-        window = (max(f_pk - half, f[0]), min(f_pk + half, f[-1]))
-        if window_cap is not None:
-            window = (max(window[0], window_cap[0]), min(window[1], window_cap[1]))
-        with warnings.catch_warnings():
-            if window_cap is not None:
-                # the cap is a deliberately narrow bootstrap window
-                warnings.filterwarnings("ignore", message="fit window narrower")
-            result = fit_peak(
-                clean,
-                window,
-                detection,
-                theta,
-                init=init,
-                variance_reference=spectrum.values,
-                exclusion_windows=exclusion_windows,
-            )
-        return result, background
-
-    # Pass 1 stays inside the caller's search window: the background model is
-    # still blind to the peak's reach, so a wide window is not trustworthy.
-    result, background = one_pass(
-        spectrum, [*exclusion_windows, search_window], window_cap=search_window
+    start = fit_background(spectrum, [*exclusion_windows, search_window])
+    init = peak_initial_guess(
+        subtract_background(spectrum, start), search_window, detection
     )
 
-    # The dispersive wings of a broad, squashed peak extend far past the
-    # search window and corrupt a background fit that merely excludes the
-    # window. Iterate instead: subtract the current peak shape everywhere,
-    # refit the background on the full band, then refit the peak on the
-    # cleaned spectrum over its full reach.
-    for _ in range(2):
-        c = result.coeffs
-        shape = peak_model(f, replace(c, a0=0.0, a1=0.0), detection)
-        try:
-            refined, refined_bg = one_pass(
-                spectrum.replace_values(spectrum.values - shape),
-                exclusion_windows,
-                init=c,
-            )
-        except (PeakNotFoundError, FitConvergenceError, DegenerateFitError):
-            break  # keep the last good result
-        # a runaway refit (latching onto background residue) is rejected
-        if not (1.0 / 3.0 < refined.coeffs.gamma_eff / c.gamma_eff < 3.0):
-            break
-        result, background = refined, refined_bg
-    return result, background
+    f = spectrum.frequencies
+    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
+    keep = _kept_bins(spectrum, init, exclusion_windows)
+    f_k = f[keep]
+    grid = PeakGrid(f_k, detection)
+    f_pivot, _, background_model, bounds = _background_models(f_k, spectrum.f_step)
+
+    # p is fit_background's six parameters, whose offset is the flat level
+    # a0, then a2, a3, omega_eff and gamma_eff. The peak's filler writes its
+    # a0 and a1 rows to rows 4 and 5, which the background's filler then
+    # overwrites.
+    def band_model(p):
+        background, fill_background = background_model(p)
+        peak, fill_peak = grid.model(np.array([0.0, 0.0, *p[6:]]), init.omega_eff)
+
+        def fill(jac_t):
+            fill_peak(jac_t[4:])
+            fill_background(jac_t)
+
+        return background + peak, fill
+
+    # the start's offset plus the level under its peak; tail amplitude at f_pivot
+    x0 = np.array([*astuple(start), *init.as_array()[2:]])
+    x0[0] += init.a0
+    x0[1] *= f_pivot ** (-start.tail_exponent)
+    w_lo, w_hi = TWO_PI * f_k[0], TWO_PI * f_k[-1]
+    bounds += [(None, None), (None, None), (w_lo, w_hi)]
+    bounds.append((TWO_PI * spectrum.f_step, w_hi - w_lo))
+    fit = nlls_fit(
+        FitProblem(
+            model=band_model,
+            data=spectrum.values[keep],
+            weights=1.0 / var[keep],
+            initial_params=x0,
+            bounds=bounds,
+        )
+    )
+    p = fit.params
+    lineshape = [0, 1, 6, 7, 8, 9]  # a0, a1 (zeroed below), a2, a3, omega_eff, gamma_eff
+    covariance = fit.covariance[lineshape][:, lineshape]
+    covariance[1, :] = covariance[:, 1] = 0.0
+    f_pk = p[8] / TWO_PI
+    half = max(15.0 * p[9] / TWO_PI, 60.0 * spectrum.f_step)
+    window = (max(f_pk - half, f[0]), min(f_pk + half, f[-1]))
+    result = _peak_result(
+        [p[0], 0.0, *p[6:]], covariance, fit.reduced_chi2, theta, window, keep
+    )
+    return result, _pivoted(f_pivot, 0.0, *p[1:6])
 
 
 def analyze_campaign(

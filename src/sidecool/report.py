@@ -23,7 +23,7 @@ from .spectra import LineshapeCoeffs
 __all__ = ["FitReport", "TOOL_VERSION", "effective_temperature"]
 
 TWO_PI = 2.0 * math.pi
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 
 
 def effective_temperature(n_eff: float, omega_m: float) -> float:

@@ -81,13 +81,30 @@ def test_synth_is_seed_reproducible(tmp_path, config_path):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--f-step-hz", "0"), ("--f-step-hz", "-50"), ("--points", "0"), ("--raw-scale", "0")],
+    [
+        ("--f-step-hz", "0"),
+        ("--f-step-hz", "-50"),
+        ("--points", "0"),
+        ("--raw-scale", "0"),
+        ("--f-start-hz", "nan"),
+        ("--f-start-hz", "inf"),
+        ("--f-stop-hz", "nan"),
+        ("--floor", "nan"),
+        ("--floor", "-0.001"),
+        ("--tail-amplitude", "nan"),
+        ("--beat-center-hz", "nan"),
+        ("--beat-amplitude", "nan"),
+        ("--beat-amplitude", "inf"),
+        ("--gamma-opt-hz", "1000,nan,3000"),
+        ("--n-averages", "0"),
+    ],
 )
 def test_synth_bad_input_gives_one_error_line(tmp_path, config_path, capsys, option, value):
+    """The error line names the option and comes before any log line or file."""
     out = tmp_path / "camp"
     assert _synth(config_path, out, extra=[option, value]) == 1
     assert option in _one_error_line(capsys)
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_full_pipeline_recovers_truth(tmp_path, config_path):

@@ -334,38 +334,59 @@ def test_analyze_peak_handles_background_and_wide_peak(
     )
 
 
+def _campaign_spectra(cavity, mode01, detection, phase_noise):
+    """Four phase-noise spectra with background, and the search window."""
+    mode_f = mode01.omega_m / TWO_PI
+    floor = 3.5e-3
+    bg = BackgroundModel(
+        tail_offset=0.0, tail_amplitude=floor * mode_f**2, tail_exponent=2.0,
+        beat_center=mode_f + 45e3, beat_width=2e3, beat_amplitude=200 * floor,
+    )
+    specs, _ = spectra.synthesize_campaign(
+        mode=mode01, cavity=cavity, g0=TWO_PI * 2.1,
+        gamma_opt_grid=TWO_PI * np.geomspace(1.5e3, 8e3, 4),
+        noise=phase_noise, detection=detection,
+        f_start=156e3, f_step=50.0, n_bins=4001,
+        n_averages=200, seed=3, floor=floor, background=bg,
+    )
+    return specs, (mode_f - 30e3, mode_f + 30e3)
+
+
 @pytest.mark.parametrize(
     "error",
-    [DegenerateFitError, FitConvergenceError, PeakNotFoundError, ValueError],
+    [DegenerateFitError, FitConvergenceError, ValueError],
     ids=lambda e: e.__name__,
 )
-def test_analyze_peak_keeps_last_good_pass_on_degenerate_refit(
+def test_failed_band_fit_raises_its_type(
     monkeypatch, cavity, mode01, detection, phase_noise, error
 ):
-    """A refit that fails with a typed fit error keeps pass 1; any other
-    ValueError is a bug and propagates."""
-    model = _peak_setup(cavity, mode01, detection, phase_noise)
-    noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=4)
-    inner = fitting.fit_peak
-    passes = []
+    """A failed full-band fit leaves analyze_peak as its own type, with no
+    earlier fit kept in its place. analyze_campaign skips that spectrum with
+    a warning on a typed fit error; any other ValueError is a bug and
+    propagates."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    inner = fitting.nlls_fit
+    band_fits = []
 
-    def failing_refit(*args, **kwargs):
-        if passes:
-            raise error("injected refit failure")
-        passes.append(inner(*args, **kwargs))
-        return passes[-1]
+    def failing_band_fit(problem):
+        if problem.initial_params.size == 10:
+            band_fits.append(problem)
+            if len(band_fits) == 1:
+                raise error("injected band-fit failure")
+        return inner(problem)
 
-    monkeypatch.setattr(fitting, "fit_peak", failing_refit)
+    monkeypatch.setattr(fitting, "nlls_fit", failing_band_fit)
+    with pytest.raises(error, match="injected band-fit failure"):
+        fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
+    band_fits.clear()
     if error is ValueError:
-        with pytest.raises(ValueError, match="injected refit failure"):
-            fitting.analyze_peak(
-                noisy, mode01, cavity, detection, search_window=(226e3, 286e3)
-            )
+        with pytest.raises(ValueError, match="injected band-fit failure"):
+            fitting.analyze_campaign(specs, mode01, cavity, detection, window)
         return
-    res, _ = fitting.analyze_peak(
-        noisy, mode01, cavity, detection, search_window=(226e3, 286e3)
-    )
-    assert res is passes[0]
+    with pytest.warns(UserWarning, match="spectrum 0: .*injected.*skipped"):
+        out = fitting.analyze_campaign(specs, mode01, cavity, detection, window)
+    assert len(band_fits) == len(specs)
+    assert out.cooling.n_points == len(specs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +453,8 @@ def test_background_jacobians_match_central_differences():
 def test_peak_jacobians_match_central_differences(
     cavity, mode01, detection, phase_noise
 ):
-    """The joint fit (6 parameters) is the only LM fit fit_peak runs."""
+    """The joint fit (6 parameters) is the only LM fit fit_peak runs;
+    analyze_peak runs the tail, beat and full-band (10 parameters) fits."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
     noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=5)
     theta = sc.sideband_angle(cavity, mode01.omega_m)
@@ -440,27 +462,34 @@ def test_peak_jacobians_match_central_differences(
         lambda: fitting.fit_peak(noisy, (200e3, 300e3), detection, theta=theta)
     )
     _assert_jacobians_match(fits, [6])
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    fits = _recorded_fits(
+        lambda: fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
+    )
+    _assert_jacobians_match(fits, [3, 6, 10])
 
 
 def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise):
     """A filler gives the Jacobian at the point of its model call, whatever
     happens between that call and the fill.
 
-    Each recorded problem (tail, beat and joint) gets a filler at x0; the
-    model is then evaluated at points x_j that differ from x0 in parameter j
-    alone, and x0 is changed in place. The filler must still give the bits
-    that a filler from a fresh model(x0) gives, so a kernel that reads its
-    parameters or shared state lazily fails. The 1e-5 central-difference
-    tests would not see the Jacobian of a nearby point.
+    Each recorded problem (tail, beat, joint and full-band) gets a filler at
+    x0; the model is then evaluated at points x_j that differ from x0 in
+    parameter j alone, and x0 is changed in place. The filler must still give
+    the bits that a filler from a fresh model(x0) gives, so a kernel that
+    reads its parameters or shared state lazily fails. The 1e-5
+    central-difference tests would not see the Jacobian of a nearby point.
     """
     background, _ = _background_spectrum()
     peak = spectra.synthesize_measured_spectrum(
         _peak_setup(cavity, mode01, detection, phase_noise), n_averages=200, seed=5
     )
     theta = sc.sideband_angle(cavity, mode01.omega_m)
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
     runs = [
         lambda: fitting.fit_background(background),
         lambda: fitting.fit_peak(peak, (200e3, 300e3), detection, theta=theta),
+        lambda: fitting.analyze_peak(specs[0], mode01, cavity, detection, window),
     ]
 
     def filled(fill, shape):
@@ -487,7 +516,7 @@ def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise)
             got = filled(fill, shape)
             assert np.array_equal(got, filled(want_fill, shape)), x0.size
             assert np.all(np.isfinite(got)), x0.size
-    assert sizes == [3, 6, 6]
+    assert sizes == [3, 6, 6, 3, 6, 10]
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
@@ -636,22 +665,42 @@ def test_analyze_campaign_skips_hopeless_spectra(cavity, mode01, detection, phas
         f_start=156e3, f_step=50.0, values=np.full(4001, 3.5e-3),
         units=SpectrumUnits.HZ2_PER_HZ, n_averages=200,
     )
-    mode_f = mode01.omega_m / TWO_PI
-    floor = 3.5e-3
-    bg = BackgroundModel(
-        tail_offset=0.0, tail_amplitude=floor * mode_f**2, tail_exponent=2.0,
-        beat_center=mode_f + 45e3, beat_width=2e3, beat_amplitude=200 * floor,
-    )
-    specs, _ = spectra.synthesize_campaign(
-        mode=mode01, cavity=cavity, g0=TWO_PI * 2.1,
-        gamma_opt_grid=TWO_PI * np.geomspace(1.5e3, 8e3, 4),
-        noise=phase_noise, detection=detection,
-        f_start=156e3, f_step=50.0, n_bins=4001,
-        n_averages=200, seed=3, floor=floor, background=bg,
-    )
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
     with pytest.warns(UserWarning, match="skipped"):
         out = fitting.analyze_campaign(
-            [flat] + specs, mode01, cavity, detection,
-            search_window=(mode_f - 30e3, mode_f + 30e3),
+            [flat] + specs, mode01, cavity, detection, search_window=window
         )
     assert out.cooling.n_points == 4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "noise, floor, seeds",
+    [
+        (LaserNoise(s_phi_phi=2.2e-2 / 256e3**2), 3.5e-3, range(8)),
+        (LaserNoise(s_eps_eps=1e-13), 1e-4, range(1000, 1008)),
+    ],
+    ids=["phase", "amplitude"],
+)
+def test_per_peak_pulls_are_unbiased(cavity, mode01, detection, noise, floor, seeds):
+    """Over 96 peaks (8 campaigns of 12), the mean pulls (estimate - truth) /
+    sigma of a_eff and gamma_eff lie within +-0.3 and every peak fit has a
+    reduced chi^2 of at most 1.3. A background fit that absorbs the peak's
+    wings biases both pulls on the amplitude campaigns and raises chi^2."""
+    a_eff_pulls, gamma_pulls, chi2 = [], [], []
+    for seed in seeds:
+        res, ref = run_campaign(
+            mode01, cavity, detection, noise, g0=TWO_PI * 2.1, seed=seed, floor=floor
+        )
+        assert len(res.peaks) == len(ref["truth"])
+        for peak, truth in zip(res.peaks, ref["truth"]):
+            a_eff_pulls.append((peak.a_eff - truth["a_eff_hz2"]) / peak.a_eff_sigma)
+            gamma_pulls.append(
+                (peak.coeffs.gamma_eff - TWO_PI * truth["gamma_eff_hz"])
+                / math.sqrt(peak.covariance[5, 5])
+            )
+            chi2.append(peak.reduced_chi2)
+    assert len(chi2) == 96
+    assert abs(np.mean(a_eff_pulls)) <= 0.3
+    assert abs(np.mean(gamma_pulls)) <= 0.3
+    assert max(chi2) <= 1.3

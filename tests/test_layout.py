@@ -2,9 +2,11 @@
 names, every ``__all__`` entry exists in its module, every module-level
 import is used, the package namespace re-exports only public names, nothing
 in the package imports scipy (only numpy is a run-time dependency), and
-nothing calls a numpy function that imports numpy.ma."""
+nothing calls a numpy function that imports numpy.ma; and every name the
+benchmark tracer patches exists where it patches it."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sidecool"
+TRACING = PACKAGE.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -134,6 +137,27 @@ def _numpy_ma_calls(tree: ast.Module) -> list[str]:
     ]
 
 
+def _missing_tracer_targets(tree: ast.Module) -> list[str]:
+    """Entries (owner, attr, span) of the module's TARGETS whose attr is not
+    in vars(owner); each owner is a sidecool module or a name in one."""
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    missing = []
+    for entry in targets.elts:
+        owner_name, attr = ast.unparse(entry.elts[0]), entry.elts[1].value
+        module, *path = owner_name.split(".")
+        owner = importlib.import_module(f"sidecool.{module}")
+        for name in path:
+            owner = getattr(owner, name)
+        if attr not in vars(owner):
+            missing.append(f"{owner_name}.{attr}")
+    return missing
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -247,6 +271,14 @@ def test_unregistered_marker_fails_collection(tmp_path):
     assert "'slwo' not found in `markers`" in proc.stdout
 
 
+def test_tracer_targets_exist():
+    """Every name bench/tracing.py patches is bound in its owner's namespace,
+    so a source change cannot break a traced benchmark run with a KeyError.
+    The tracer is parsed, not imported."""
+    tree = _parse(TRACING)
+    assert _missing_tracer_targets(tree) == []
+
+
 def test_package_namespace_names_are_public():
     """Every name sidecool/__init__.py imports from a submodule is in that
     submodule's __all__."""
@@ -262,8 +294,8 @@ def test_package_namespace_names_are_public():
 
 def test_checks_catch_violations():
     """The checks flag a private cross-module read, a private import, a
-    stale __all__ entry, an unused import, a scipy import and a call of a
-    numpy function that imports numpy.ma."""
+    stale __all__ entry, an unused import, a scipy import, a call of a
+    numpy function that imports numpy.ma and a tracer target that is gone."""
     tree = ast.parse(
         "from . import fitting\n"
         "from .physics import _sideband_response\n"
@@ -306,3 +338,13 @@ def test_checks_catch_violations():
         "line 5: np.nanmedian",
         "line 5: np.unique",
     ]
+    assert _missing_tracer_targets(
+        ast.parse(
+            "TARGETS = (\n"
+            "    (fitting, 'analyze_peak', 'a'),\n"
+            "    (fitting, 'one_pass', 'b'),\n"
+            "    (report.FitReport, 'load', 'c'),\n"
+            "    (report.FitReport, 'peaks', 'd'),\n"
+            ")\n"
+        )
+    ) == ["fitting.one_pass", "report.FitReport.peaks"]
