@@ -11,17 +11,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, fitting, report, spectra
 from .physics import (
-    CavitySpec,
     DriveField,
     InstabilityError,
     LaserNoise,
-    MechMode,
     backaction_occupancy,
     amplitude_factor,
     effective_occupancy,
@@ -313,9 +312,7 @@ def cmd_fit_peak(args) -> int:
         sl = clean.window_slice(*result.window)
         f = clean.frequencies[sl]
         data = clean.values[sl]
-        fit_vals = spectra.peak_model(
-            f, result.coeffs, config.detection, omega_ref=result.coeffs.omega_eff
-        )
+        fit_vals = spectra.peak_model(f, result.coeffs, config.detection)
         columns = (f, data, fit_vals, data - fit_vals)
         rows = zip(*(c.tolist() for c in columns))
         lines = ["frequency_hz\tdata\tfit\tresidual"]
@@ -388,7 +385,7 @@ def cmd_cooling_curve(args) -> int:
 # predict
 # ---------------------------------------------------------------------------
 
-_PREDICT_COLUMNS = [
+_PREDICT_COLUMNS = (
     "sweep_value",
     "theta_rad",
     "inv_cos_theta",
@@ -401,7 +398,7 @@ _PREDICT_COLUMNS = [
     "n_exc",
     "n_eff",
     "flag",
-]
+)
 
 
 def _predict_row(value, mode, cavity, g0, noise, gamma_opt=None):
@@ -451,21 +448,11 @@ def cmd_predict(args) -> int:
         cavity, m, gamma_opt = config.cavity, mode, None
         try:
             if args.sweep == "detuning":
-                cavity = CavitySpec(
-                    kappa=config.cavity.kappa,
-                    detuning=TWO_PI * v,
-                    cavity_length=config.cavity.cavity_length,
-                    laser_frequency=config.cavity.laser_frequency,
-                )
+                cavity = replace(config.cavity, detuning=TWO_PI * v)
             elif args.sweep == "gamma-opt":
                 gamma_opt = TWO_PI * v
             else:  # quality-factor
-                m = MechMode(
-                    omega_m=mode.omega_m,
-                    q_factor=v,
-                    temperature=mode.temperature,
-                    label=mode.label,
-                )
+                m = replace(mode, q_factor=v, gamma_m=None)
             rows.append(_predict_row(v, m, cavity, config.g0, noise, gamma_opt))
         except (InstabilityError, ValueError):
             rows.append([v] + [float("nan")] * (len(_PREDICT_COLUMNS) - 2) + ["unstable"])

@@ -42,11 +42,8 @@ __all__ = [
     "DegenerateFitError",
     "PeakNotFoundError",
     "nlls_fit",
-    "periodogram_variance",
-    "spurious_bin_mask",
     "fit_background",
     "subtract_background",
-    "peak_initial_guess",
     "PeakFitResult",
     "fit_peak",
     "CoolingCurveResult",
@@ -266,7 +263,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
 # ---------------------------------------------------------------------------
 
 SMOOTH_BINS = 10  # moving-average width of the local level, in bins
-SPURIOUS_SIGMA = 5.0  # outlier threshold of spurious_bin_mask
+SPURIOUS_SIGMA = 5.0  # outlier threshold of _spurious_bin_mask
 
 
 def _moving_average(values: np.ndarray) -> np.ndarray:
@@ -277,48 +274,23 @@ def _moving_average(values: np.ndarray) -> np.ndarray:
     return np.convolve(values, kernel, mode="same") / norm
 
 
-_LEVEL_MEMO: list = []  # ((n_averages, bytes of values), (smooth, var)), newest last
-
-
 def _level_and_variance(values: np.ndarray, n_averages: int):
-    """The smoothed level and periodogram_variance, from one smoothing pass.
-
-    analyze_peak asks for the same spectrum's pair three times (its
-    fit_background, its spurious-bin mask and its full-band weights), and
-    fit_peak twice; the two most recent results are kept, keyed by the
-    bytes of the values. The function is pure, so a hit cannot change a
-    result; the kept arrays are read-only, so no caller can change them
-    either."""
-    values = np.asarray(values, dtype=float)
-    key = (n_averages, values.tobytes())
-    hit = next((result for k, result in _LEVEL_MEMO if k == key), None)
-    if hit is None:
-        smooth = _moving_average(values)
-        positive = smooth[smooth > 0]
-        if positive.size == 0:
-            raise ValueError("spectrum has no positive level to estimate variance from")
-        floor = 0.05 * median(positive)
-        hit = smooth, np.clip(smooth, floor, None) ** 2 / n_averages
-        for array in hit:
-            array.flags.writeable = False
-    _LEVEL_MEMO[:] = [e for e in _LEVEL_MEMO if e[0] != key][-1:] + [(key, hit)]
-    return hit
+    """The smoothed level S_smooth of a spectrum and its per-bin variance
+    estimate S_smooth^2 / M for an M-average periodogram, from one smoothing
+    pass. For the variance the smoothed level is floored at a small positive
+    fraction of its median, so background-subtracted spectra cannot produce
+    zero or negative variances."""
+    smooth = _moving_average(values)
+    positive = smooth[smooth > 0]
+    if positive.size == 0:
+        raise ValueError("spectrum has no positive level to estimate variance from")
+    floor = 0.05 * median(positive)
+    return smooth, np.clip(smooth, floor, None) ** 2 / n_averages
 
 
-def periodogram_variance(values: np.ndarray, n_averages: int) -> np.ndarray:
-    """Per-bin variance estimate S_smooth^2 / M for an M-average periodogram.
-
-    The smoothed level is floored at a small positive fraction of its median
-    so background-subtracted spectra cannot produce zero or negative
-    variances.
-    """
-    return _level_and_variance(values, n_averages)[1].copy()
-
-
-def spurious_bin_mask(values: np.ndarray, n_averages: int) -> np.ndarray:
+def _spurious_bin_mask(values: np.ndarray, smooth: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Boolean mask of bins to keep; flags >SPURIOUS_SIGMA positive outliers
     against the local smoothed level (spurious instrumental peaks)."""
-    smooth, var = _level_and_variance(values, n_averages)
     return values - smooth <= SPURIOUS_SIGMA * np.sqrt(var)
 
 
@@ -466,7 +438,7 @@ def subtract_background(spectrum: Spectrum, background: BackgroundModel) -> Spec
 # ---------------------------------------------------------------------------
 
 
-def peak_initial_guess(
+def _peak_initial_guess(
     spectrum: Spectrum,
     window: tuple[float, float],
     detection: DetectionConfig,
@@ -545,12 +517,14 @@ def _effective_area(
     return value, math.sqrt(max(var, 0.0))
 
 
-def _kept_bins(spectrum: Spectrum, init: LineshapeCoeffs, exclusion_windows):
-    """Mask of the bins a peak fit keeps, over the whole grid: spurious bins
-    go, except within 2 widths of the guessed peak, and so do caller-declared
-    contaminated regions (e.g. the calibration tone)."""
+def _kept_bins(spectrum: Spectrum, level, init: LineshapeCoeffs, exclusion_windows):
+    """Mask of the bins a peak fit keeps, over the whole grid. level is the
+    spectrum's (smooth, var) pair from _level_and_variance, which the caller
+    also weights its fit with. Spurious bins go, except within 2 widths of
+    the guessed peak, and so do caller-declared contaminated regions (e.g.
+    the calibration tone)."""
     f = spectrum.frequencies
-    keep = spurious_bin_mask(spectrum.values, spectrum.n_averages)
+    keep = _spurious_bin_mask(spectrum.values, *level)
     keep |= np.abs(TWO_PI * f - init.omega_eff) < 2.0 * init.gamma_eff
     keep &= _retained_mask(f, exclusion_windows)
     return keep
@@ -595,12 +569,13 @@ def fit_peak(
     """
     sl = spectrum.window_slice(*window)
     f = spectrum.frequencies[sl]
-    init = peak_initial_guess(spectrum, window, detection)
+    init = _peak_initial_guess(spectrum, window, detection)
     if window[1] - window[0] < 10.0 * init.gamma_eff / TWO_PI:
         warnings.warn("fit window narrower than 10 effective widths", stacklevel=2)
 
-    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1][sl]
-    keep = _kept_bins(spectrum, init, ())[sl]
+    level = _level_and_variance(spectrum.values, spectrum.n_averages)
+    var = level[1][sl]
+    keep = _kept_bins(spectrum, level, init, ())[sl]
     w_lo, w_hi = TWO_PI * window[0], TWO_PI * window[1]
     grid = PeakGrid(f[keep], detection)
     joint = nlls_fit(
@@ -922,8 +897,10 @@ def analyze_peak(
     A background fit that excludes the search window, subtracted, gives the
     starting peak. One fit over the full band then takes the flat level a0,
     the lineshape, the power-law tail and the beat note together, so a broad
-    peak's wings cannot leak into the tail. Bins are weighted and excluded
-    as in fit_peak, and so are the caller's exclusion_windows.
+    peak's wings cannot leak into the tail. That fit weights each bin by the
+    inverse of the variance from the spectrum's smoothed level, and leaves
+    out the spurious bins away from the starting peak and the caller's
+    exclusion_windows.
 
     The tail carries the slope and a0 is the only flat level: the result has
     a1 = 0 with a zero covariance row and column, and tail_offset = 0.
@@ -932,13 +909,13 @@ def analyze_peak(
     """
     theta = sideband_angle(cavity, mode.omega_m)
     start = fit_background(spectrum, [*exclusion_windows, search_window])
-    init = peak_initial_guess(
+    init = _peak_initial_guess(
         subtract_background(spectrum, start), search_window, detection
     )
 
     f = spectrum.frequencies
-    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
-    keep = _kept_bins(spectrum, init, exclusion_windows)
+    level = _level_and_variance(spectrum.values, spectrum.n_averages)
+    keep = _kept_bins(spectrum, level, init, exclusion_windows)
     f_k = f[keep]
     grid = PeakGrid(f_k, detection)
     f_pivot, _, background_model, bounds = _background_models(f_k, spectrum.f_step)
@@ -968,7 +945,7 @@ def analyze_peak(
         FitProblem(
             model=band_model,
             data=spectrum.values[keep],
-            weights=1.0 / var[keep],
+            weights=1.0 / level[1][keep],
             initial_params=x0,
             bounds=bounds,
         )

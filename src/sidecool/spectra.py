@@ -48,8 +48,6 @@ __all__ = [
     "Spectrum",
     "detection_filter_c",
     "amplitude_leak_d",
-    "lorentzian_shape",
-    "dispersive_shape",
     "PeakGrid",
     "peak_model",
     "model_coefficients",
@@ -270,7 +268,8 @@ def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
     Each is a sum over the +w and -w resonance lobes, with detuning
     u = +-w - omega_eff and q = 1/(u^2 + (gamma_eff/2)^2). Returns L, D and
     the lobe terms (gamma_eff/2, u+, u-, q+, q-) that the Jacobian filler of
-    PeakGrid.model uses.
+    PeakGrid.model uses. Each lobe of L carries area 1/2 over f = w/2pi for
+    narrow peaks; D is odd about the peak up to the mirrored lobe.
     """
     half = gamma_eff / 2.0
     u_p = w - omega_eff
@@ -278,21 +277,6 @@ def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
     q_p = 1.0 / (u_p**2 + half**2)
     q_m = 1.0 / (u_m**2 + half**2)
     return half * (q_p + q_m), u_p * q_p + u_m * q_m, (half, u_p, u_m, q_p, q_m)
-
-
-def lorentzian_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np.ndarray:
-    """Symmetrized Lorentzian; each resonance lobe carries area 1/2 over
-    f = w/2pi for narrow peaks."""
-    if gamma_eff <= 0:
-        raise ValueError("gamma_eff must be positive")
-    return _lineshapes(np.asarray(omega, dtype=float), omega_eff, gamma_eff)[0]
-
-
-def dispersive_shape(omega: ArrayLike, omega_eff: float, gamma_eff: float) -> np.ndarray:
-    """Antisymmetric companion of the Lorentzian, odd about the peak."""
-    if gamma_eff <= 0:
-        raise ValueError("gamma_eff must be positive")
-    return _lineshapes(np.asarray(omega, dtype=float), omega_eff, gamma_eff)[1]
 
 
 class PeakGrid:
@@ -338,16 +322,13 @@ def peak_model(
     f: np.ndarray,
     coeffs: LineshapeCoeffs,
     detection: DetectionConfig,
-    omega_ref: float | None = None,
 ) -> np.ndarray:
     """Evaluate the six-parameter peak model on a frequency grid (Hz).
 
-    The linear background term is taken relative to omega_ref (defaults to
-    the peak frequency) to decorrelate it from the flat level.
+    The linear background term is taken relative to the peak frequency
+    coeffs.omega_eff, which decorrelates it from the flat level.
     """
-    if omega_ref is None:
-        omega_ref = coeffs.omega_eff
-    return PeakGrid(f, detection).model(coeffs.as_array(), omega_ref)[0]
+    return PeakGrid(f, detection).model(coeffs.as_array(), coeffs.omega_eff)[0]
 
 
 def model_coefficients(
@@ -378,13 +359,6 @@ def model_coefficients(
     return coeffs, budget
 
 
-def _add_tone(values: np.ndarray, f_start: float, f_step: float, tone: CalibrationTone) -> None:
-    idx = int(round((tone.frequency_hz - f_start) / f_step))
-    if idx < 0 or idx >= values.size:
-        raise ValueError("calibration tone falls outside the frequency grid")
-    values[idx] += tone.power_hz2 / f_step
-
-
 def output_psd(
     f_start: float,
     f_step: float,
@@ -396,14 +370,13 @@ def output_psd(
     detection: DetectionConfig,
     floor: float = 0.0,
     background: BackgroundModel | None = None,
-    tone: CalibrationTone | None = None,
 ) -> Spectrum:
     """Noise-free model PSD of the detected quadrature on a uniform grid.
 
-    The mechanical peak, an optional phenomenological background, and an
-    optional single-bin calibration tone are summed. A grid coarser than
-    10 bins per effective width, or a width outside the weak-coupling
-    regime, triggers a warning rather than an error.
+    The mechanical peak and an optional phenomenological background are
+    summed. A grid coarser than 10 bins per effective width, or a width
+    outside the weak-coupling regime, triggers a warning rather than an
+    error.
     """
     coeffs, budget = model_coefficients(mode, cavity, drive, noise, floor=floor)
     if budget.gamma_eff > 0.1 * min(cavity.kappa, mode.omega_m):
@@ -430,10 +403,6 @@ def output_psd(
     units = SpectrumUnits.NORMALIZED_MODEL
     if background is not None:
         values = values + evaluate_background(background, f)
-        units = SpectrumUnits.HZ2_PER_HZ
-    if tone is not None:
-        values = np.array(values, dtype=float)
-        _add_tone(values, f_start, f_step, tone)
         units = SpectrumUnits.HZ2_PER_HZ
     meta = {
         "n_eff": budget.n_eff,
@@ -470,7 +439,10 @@ def synthesize_measured_spectrum(
     dof = 2 * n_averages
     values = model.values * rng.chisquare(dof, size=model.values.size) / dof
     if tone is not None:
-        _add_tone(values, model.f_start, model.f_step, tone)
+        idx = int(round((tone.frequency_hz - model.f_start) / model.f_step))
+        if idx < 0 or idx >= values.size:
+            raise ValueError("calibration tone falls outside the frequency grid")
+        values[idx] += tone.power_hz2 / model.f_step
     out = model.replace_values(values)
     out.n_averages = n_averages
     return out

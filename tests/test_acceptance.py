@@ -205,7 +205,7 @@ def test_criterion_08_end_to_end_recovery(capsys, cavity, mode01, detection, pha
             continue
         c = res.cooling
         ok = (
-            abs(c.g0 - g0) < 3 * TWO_PI * c.g0_sigma
+            abs(c.g0 - g0) < 3 * c.g0_sigma
             and abs(c.n_min - ref["n_min"]) < 3 * c.n_min_sigma
             and abs(c.gamma_min - ref["gamma_min"]) < 3 * c.gamma_min_sigma
             and res.discrimination.classification == "phase-dominated"

@@ -426,6 +426,27 @@ def test_predict_gamma_opt_sweep_has_minimum(tmp_path, config_path):
     assert 0 < i_min < n_eff.size - 1
 
 
+def test_predict_quality_factor_sweep_scales_n_min(tmp_path, config_path):
+    """The minimum occupancy scales as 1/sqrt(Q): n_min sqrt(Q) is the same
+    on every row of a quality-factor sweep."""
+    out = tmp_path / "qsweep.tsv"
+    code = _run(
+        [
+            "predict", "--config", config_path,
+            "--sweep", "quality-factor", "--min", "1e6", "--max", "1e8",
+            "--points", "5", "--log", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split("\t")
+    rows = [ln.split("\t") for ln in lines[1:]]
+    assert len(rows) == 5 and all(r[-1] == "ok" for r in rows)
+    i_nmin = header.index("n_min")
+    scaled = np.array([float(r[i_nmin]) * math.sqrt(float(r[0])) for r in rows])
+    assert np.max(np.abs(scaled / scaled[0] - 1.0)) < 1e-8
+
+
 def test_convert_round_trip(capsys, config_path):
     assert _run(
         ["convert", "--quantity", "snn-to-sphiphi", "--value", "2.2e-2",

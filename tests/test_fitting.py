@@ -157,37 +157,16 @@ def test_fit_problem_rejects_too_few_points():
 def test_periodogram_variance_floor_is_positive():
     values = np.zeros(100)
     values[50] = 1.0
-    var = fitting.periodogram_variance(values, n_averages=10)
+    _, var = fitting._level_and_variance(values, n_averages=10)
     assert np.all(var > 0)
-
-
-def test_level_memo_follows_the_values():
-    """The smoothed level and variance are kept per spectrum's bytes: values
-    changed in place or another n_averages recompute, and a hit gives what a
-    fresh computation gives."""
-    rng = np.random.default_rng(3)
-    x = rng.uniform(1.0, 2.0, 500)
-    first = fitting._level_and_variance(x, 10)
-    assert not first[0].flags.writeable and not first[1].flags.writeable
-    x[250] += 5.0
-    changed = fitting._level_and_variance(x, 10)
-    assert not np.array_equal(changed[0], first[0])
-    other_m = fitting._level_and_variance(x, 20)
-    assert np.array_equal(other_m[1], changed[1] / 2.0)
-    hit = fitting._level_and_variance(x.copy(), 10)
-    assert hit[1] is changed[1]
-    fitting._LEVEL_MEMO.clear()
-    fresh = fitting._level_and_variance(x, 10)
-    assert all(np.array_equal(a, b) for a, b in zip(fresh, changed))
-    var = fitting.periodogram_variance(x, 10)
-    assert var.flags.writeable and np.array_equal(var, fresh[1])
 
 
 def test_spurious_bin_mask_flags_spike_keeps_rest():
     rng = np.random.default_rng(1)
     values = rng.chisquare(200, 1000) / 200 * 2.0
     values[400] *= 8.0
-    keep = fitting.spurious_bin_mask(values, n_averages=100)
+    smooth, var = fitting._level_and_variance(values, n_averages=100)
+    keep = fitting._spurious_bin_mask(values, smooth, var)
     assert not keep[400]
     assert keep.sum() >= 995
 
@@ -259,7 +238,7 @@ def _peak_setup(cavity, mode01, detection, phase_noise, gamma_opt_hz=3e3):
 def test_peak_initial_guess_raises_on_flat(detection):
     flat = Spectrum(f_start=1e5, f_step=10.0, values=np.full(1000, 2.0))
     with pytest.raises(PeakNotFoundError, match="no peak"):
-        fitting.peak_initial_guess(flat, (1e5, 1.09e5), detection)
+        fitting._peak_initial_guess(flat, (1e5, 1.09e5), detection)
 
 
 def test_fit_peak_exact_on_noiseless_model(cavity, mode01, detection, phase_noise):
@@ -350,6 +329,23 @@ def _campaign_spectra(cavity, mode01, detection, phase_noise):
         n_averages=200, seed=3, floor=floor, background=bg,
     )
     return specs, (mode_f - 30e3, mode_f + 30e3)
+
+
+def test_analyze_peak_excludes_a_spurious_bin(cavity, mode01, detection, phase_noise):
+    """One bin raised 8-fold, clear of the peak, the beat note and the search
+    window, is one more bin the full-band fit leaves out, and a_eff stays."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    spec = specs[0]
+    i = int(round((mode01.omega_m / TWO_PI - 70e3 - spec.f_start) / spec.f_step))
+    values = spec.values.copy()
+    values[i] *= 8.0
+    base, _ = fitting.analyze_peak(spec, mode01, cavity, detection, window)
+    spiked, _ = fitting.analyze_peak(
+        spec.replace_values(values), mode01, cavity, detection, window
+    )
+    assert spiked.n_excluded == base.n_excluded + 1
+    assert spiked.n_points == base.n_points - 1
+    assert abs(spiked.a_eff - base.a_eff) < 0.1 * base.a_eff_sigma
 
 
 @pytest.mark.parametrize(
@@ -529,8 +525,12 @@ def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phas
         coeffs = spectra.LineshapeCoeffs.from_array(
             coeffs.as_array() + np.array([0.0, 1e-9, 0.0, 0.0, 0.0, 0.0])
         )
+        grid = spectra.PeakGrid(f, detection)
         for omega_ref in (None, TWO_PI * 255e3):
-            got = spectra.peak_model(f, coeffs, detection, omega_ref=omega_ref)
+            if omega_ref is None:
+                got = spectra.peak_model(f, coeffs, detection)
+            else:
+                got = grid.model(coeffs.as_array(), omega_ref)[0]
             ref = peak_model_reference(f, coeffs, detection, omega_ref=omega_ref)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 

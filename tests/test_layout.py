@@ -1,8 +1,9 @@
 """Static checks on the package layout: modules use only each other's public
 names, every ``__all__`` entry exists in its module, every module-level
 import is used, the package namespace re-exports only public names, nothing
-in the package imports scipy (only numpy is a run-time dependency), and
-nothing calls a numpy function that imports numpy.ma; and every name the
+in the package imports scipy (only numpy is a run-time dependency),
+nothing calls a numpy function that imports numpy.ma, and no module keeps
+mutable state in a module-level list, dict or set; and every name the
 benchmark tracer patches exists where it patches it."""
 
 import ast
@@ -137,6 +138,27 @@ def _numpy_ma_calls(tree: ast.Module) -> list[str]:
     ]
 
 
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _mutable_globals(tree: ast.Module) -> list[str]:
+    """Module-level names, other than __all__, bound to a list, dict or set
+    display or comprehension."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+            node.value, MUTABLE_DISPLAYS
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                f"line {node.lineno}: {n.id}"
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and n.id != "__all__"
+            ]
+    return found
+
+
 def _missing_tracer_targets(tree: ast.Module) -> list[str]:
     """Entries (owner, attr, span) of the module's TARGETS whose attr is not
     in vars(owner); each owner is a sidecool module or a name in one."""
@@ -189,6 +211,11 @@ def test_no_scipy_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_numpy_ma_calls(path):
     assert _numpy_ma_calls(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_mutable_state(path):
+    assert _mutable_globals(_parse(path)) == []
 
 
 def test_cli_import_loads_no_scipy():
@@ -295,7 +322,8 @@ def test_package_namespace_names_are_public():
 def test_checks_catch_violations():
     """The checks flag a private cross-module read, a private import, a
     stale __all__ entry, an unused import, a scipy import, a call of a
-    numpy function that imports numpy.ma and a tracer target that is gone."""
+    numpy function that imports numpy.ma, a module-level list, dict or set
+    and a tracer target that is gone."""
     tree = ast.parse(
         "from . import fitting\n"
         "from .physics import _sideband_response\n"
@@ -338,6 +366,18 @@ def test_checks_catch_violations():
         "line 5: np.nanmedian",
         "line 5: np.unique",
     ]
+    assert _mutable_globals(
+        ast.parse(
+            "__all__ = ['f']\n"
+            "_MEMO: list = []\n"
+            "TABLE = {1: 2}\n"
+            "SEEN = {x for x in y}\n"
+            "COLUMNS = ('n', 'flag')\n"
+            "LIMIT = frozenset({1})\n"
+            "def f():\n"
+            "    cache = []\n"
+        )
+    ) == ["line 2: _MEMO", "line 3: TABLE", "line 4: SEEN"]
     assert _missing_tracer_targets(
         ast.parse(
             "TARGETS = (\n"
