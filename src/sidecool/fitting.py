@@ -32,7 +32,6 @@ from .spectra import (
     evaluate_background,
     median,
     peak_model,
-    percentile,
 )
 
 __all__ = [
@@ -118,6 +117,9 @@ class FitProblem:
 
 @dataclass
 class FitResult:
+    """n_iterations counts accepted steps: model evaluations of rejected
+    trials do not count, and a fit that stops at its start has 0."""
+
     params: np.ndarray
     covariance: np.ndarray
     reduced_chi2: float
@@ -130,13 +132,58 @@ MAX_ITERATIONS = 200
 REL_TOL = 1e-10
 
 
+def _bounded_step(normal, grad, lam, free, params, lo, hi):
+    """The damped Gauss-Newton step of the free parameters, the trial point
+    it reaches, and whether a parameter was moved onto a bound.
+
+    A free parameter that the step would carry past a bound is pinned at
+    that bound, and the damped system is solved again for the others with
+    the pinned moves on its right-hand side (a projected active-set step),
+    until no solved parameter crosses a bound."""
+    step = np.zeros_like(params)
+    solve = free.copy()
+    while True:
+        if solve.all():
+            damped, rhs, diag = normal.copy(), grad, normal.diagonal()
+        else:
+            damped, diag = normal[np.ix_(solve, solve)], normal.diagonal()[solve]
+            rhs = grad[solve] - normal[np.ix_(solve, ~solve)] @ step[~solve]
+        damped.flat[:: diag.size + 1] += lam * diag
+        try:
+            step[solve] = np.linalg.solve(damped, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateFitError("singular normal matrix") from exc
+        trial = params + step
+        below, above = solve & (trial < lo), solve & (trial > hi)
+        crossed = below | above
+        if not crossed.any():
+            break
+        trial[below], trial[above] = lo[below], hi[above]
+        step[crossed] = trial[crossed] - params[crossed]
+        solve &= ~crossed
+        if not solve.any():
+            break
+    return step, trial, bool(step[free & ~solve].any())
+
+
 def nlls_fit(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton (Levenberg-Marquardt schedule) minimizer.
 
-    Convergence is declared when an accepted step changes chi^2 by less than
-    REL_TOL relative; MAX_ITERATIONS steps without it raise
-    FitConvergenceError. The covariance is the inverse Gauss-Newton normal
-    matrix scaled by the reduced chi^2.
+    Bounds are kept by active-set steps. A parameter on a bound whose
+    descent direction points outside is frozen for the iteration. A damped
+    step that would carry free parameters past a bound pins them there, and
+    the others are solved again given the pinned moves.
+
+    The fit stops, before evaluating the model, when the first (least
+    damped) trial of an iteration moves no parameter onto a bound and its
+    Gauss-Newton predicted decrease 2 d.g - d.N.d is at most REL_TOL * chi^2.
+    Only the first trial counts, because a lambda grown by rejections
+    shrinks the predicted decrease by itself. It also stops when an accepted
+    step lowers chi^2 by at most REL_TOL * chi^2, as when the quadratic
+    model overshoots across a curved valley, and when 25 ever more damped
+    trials all fail to lower chi^2. MAX_ITERATIONS accepted steps without
+    a stop raise FitConvergenceError. The covariance is the inverse
+    Gauss-Newton normal matrix scaled by the reduced chi^2.
     """
     bounds = problem.bounds or [(None, None)] * problem.initial_params.size
     lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
@@ -172,14 +219,13 @@ def nlls_fit(problem: FitProblem) -> FitResult:
 
     normal = linearized(fill)
     fill = None
-    for n_iter in range(1, MAX_ITERATIONS + 1):
+    while True:
         grad = jtw @ resid
-        diag = normal.diagonal().copy()
-        # Parameters pinned to a bound with the descent direction pointing
-        # outside stay frozen this iteration; solving for them anyway makes
-        # the projected step zigzag and the fit crawl. Parameters with no
-        # local effect on the model (zero Jacobian column) are frozen too.
-        free = diag > 0
+        # Parameters on a bound with the descent direction pointing outside
+        # stay frozen this iteration; solving for them anyway makes the
+        # projected step zigzag and the fit crawl. Parameters with no local
+        # effect on the model (zero Jacobian column) are frozen too.
+        free = normal.diagonal() > 0
         if not free.any():
             raise DegenerateFitError(
                 "degenerate parameterization: no parameter affects the model"
@@ -188,42 +234,33 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         if not free.any():
             converged = True
             break
-        # With every parameter free, no sub-matrix copy and no scatter.
-        all_free = free.all()
-        system = normal
-        if not all_free:
-            system, grad, diag = normal[np.ix_(free, free)], grad[free], diag[free]
-        accepted = False
-        for _ in range(25):
-            damped = system.copy()
-            damped.flat[:: diag.size + 1] += lam * diag
-            try:
-                solved = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateFitError("singular normal matrix") from exc
-            if all_free:
-                step = solved
-            else:
-                step = np.zeros_like(params)
-                step[free] = solved
-            trial = (params + step).clip(lo, hi)
+        for attempt in range(25):
+            step, trial, pinned = _bounded_step(normal, grad, lam, free, params, lo, hi)
+            if attempt == 0:
+                predicted = 2.0 * step @ grad - step @ normal @ step
+                converged = not pinned and predicted <= REL_TOL * chi2
+                if converged or n_iter == MAX_ITERATIONS:
+                    break
             resid_t, chi2_t, fill = evaluated(trial)
             if math.isfinite(chi2_t) and chi2_t <= chi2 * (1.0 + 1e-12) + 1e-300:
-                accepted = True
                 break
             fill = None
             lam *= 10.0
-        if not accepted:
+        else:
             # No damped step improves chi^2: we are at a local minimum to
             # within floating-point precision.
             converged = True
+        if converged or n_iter == MAX_ITERATIONS:
             break
-        delta = chi2 - chi2_t
+        n_iter += 1
+        decrease = chi2 - chi2_t
         params, resid, chi2 = trial, resid_t, chi2_t
         lam = max(lam / 3.0, 1e-14)
         normal = linearized(fill)
         fill = None
-        if delta <= REL_TOL * max(chi2, 1e-30):
+        if decrease <= REL_TOL * chi2:
+            # The step gave far less than the quadratic model promised, as
+            # when steps zigzag across a curved valley: no real decrease left.
             converged = True
             break
 
@@ -361,9 +398,15 @@ def fit_background(
     exclusion_windows: Sequence[tuple[float, float]] = (),
 ) -> BackgroundModel:
     """Fit the phenomenological background on bins outside the mechanical
-    peaks: power-law tail first, then the beat note on the residual, then a
-    joint refinement. A beat note that does not stand 3 sigma above the
-    tail residual is skipped, leaving beat_amplitude = 0."""
+    peaks.
+
+    The start is the power-law tail at exponent 2 whose offset and amplitude
+    solve the weighted linear least-squares problem, clipped to their
+    bounds. The largest bump of that start's smoothed residual is the beat
+    note's guess, and one LM fit of tail and beat together starts from both.
+    A bump that does not stand 3 sigma above the residual, or a joint fit
+    that fails, leaves an LM fit of the tail alone from the same start, with
+    beat_amplitude = 0."""
     f = spectrum.frequencies
     keep = _retained_mask(f, exclusion_windows)
     if keep.sum() < 50:
@@ -374,27 +417,26 @@ def fit_background(
     weights = 1.0 / var
     f_pivot, tail_model, full_model, bounds = _background_models(f_k, spectrum.f_step)
 
-    # stage 1: tail only
-    offset0 = percentile(y_k, 10)
-    i_pivot = int(np.searchsorted(f_k, f_pivot))
-    amp0 = max(
-        median(y_k[max(i_pivot - 20, 0) : i_pivot + 20]) - offset0,
-        1e-12 * max(abs(offset0), 1e-30),
-    )
-    tail_fit = nlls_fit(
-        FitProblem(
-            model=tail_model,
-            data=y_k,
-            weights=weights,
-            initial_params=np.array([offset0, amp0, 2.0]),
-            bounds=bounds[:3],
-        )
-    )
-    tail_only = _pivoted(f_pivot, *tail_fit.params, f_k[0], spectrum.f_step, 0.0)
+    # stage 1: closed-form tail start, linear in (offset, amplitude)
+    design = np.stack([np.ones_like(f_k), (f_k / f_pivot) ** -2.0])
+    weighted = design * weights
+    offset0, amp0 = np.linalg.solve(weighted @ design.T, weighted @ y_k)
+    start = np.array([max(offset0, 0.0), max(amp0, 0.0), 2.0])
 
-    # stage 2: beat note from the residual
-    resid = y_k - tail_model(tail_fit.params)[0]
-    smooth_resid = _moving_average(resid)
+    def tail_only():
+        tail_fit = nlls_fit(
+            FitProblem(
+                model=tail_model,
+                data=y_k,
+                weights=weights,
+                initial_params=start,
+                bounds=bounds[:3],
+            )
+        )
+        return _pivoted(f_pivot, *tail_fit.params, f_k[0], spectrum.f_step, 0.0)
+
+    # stage 2: beat note from the start's residual
+    smooth_resid = _moving_average(y_k - tail_model(start)[0])
     i_beat = int(np.argmax(smooth_resid))
     beat_amp0 = max(float(smooth_resid[i_beat]), 1e-12)
     half = beat_amp0 / 2.0
@@ -404,7 +446,7 @@ def fit_background(
     # skip the beat stage when the residual bump is consistent with noise
     local_sigma = math.sqrt(median(var))
     if beat_amp0 < 3.0 * local_sigma:
-        return tail_only
+        return tail_only()
 
     try:
         full_fit = nlls_fit(
@@ -412,13 +454,13 @@ def fit_background(
                 model=full_model,
                 data=y_k,
                 weights=weights,
-                initial_params=[*tail_fit.params, f_k[i_beat], width0, beat_amp0],
+                initial_params=[*start, f_k[i_beat], width0, beat_amp0],
                 bounds=bounds,
             )
         )
     except (DegenerateFitError, FitConvergenceError):
         # an evaporating beat note makes its shape parameters unidentifiable
-        return tail_only
+        return tail_only()
     return _pivoted(f_pivot, *full_fit.params)
 
 

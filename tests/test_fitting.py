@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -102,6 +103,68 @@ def test_nlls_respects_bounds(bounds, pinned):
     assert fit.converged
     for i, bound in pinned.items():
         assert fit.params[i] == bound
+
+
+def _counting(problem):
+    """problem with its model wrapped to count calls, and the list of the
+    chi^2 of every call."""
+    seen = []
+    model = problem.model
+
+    def counted(p):
+        values, fill = model(p)
+        seen.append(float(problem.weights @ (problem.data - values) ** 2))
+        return values, fill
+
+    return dataclasses.replace(problem, model=counted), seen
+
+
+def _line_problem(initial, bounds=None, offset=5.0):
+    """offset + 2 x on x in [1, 10] plus Gaussian noise of sigma 0.1."""
+    rng = np.random.default_rng(0)
+    x = np.linspace(1.0, 10.0, 200)
+    data = 2.0 * x + offset + rng.normal(0.0, 0.1, x.size)
+    return x, data, _problem(
+        model=lambda p: p[0] + p[1] * x,
+        data=data,
+        weights=np.full(x.size, 100.0),
+        initial_params=np.array(initial),
+        jacobian=lambda p: np.column_stack([np.ones_like(x), x]),
+        bounds=bounds,
+    )
+
+
+def test_nlls_ends_at_the_constrained_minimum_on_a_bound():
+    """With offset >= 0 and a negative true offset, the minimum pins the
+    offset at 0 exactly and the slope is the through-origin fit. The first
+    step pins the offset and solves for the slope given that move, so two
+    steps (three model evaluations) get there."""
+    x, data, problem = _line_problem([3.0, 1.0], [(0.0, None), (None, None)], -0.5)
+    assert np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), data)[0][0] < 0
+    problem, chi2s = _counting(problem)
+    fit = nlls_fit(problem)
+    assert fit.converged
+    assert len(chi2s) == 3
+    assert fit.params[0] == 0.0
+    assert fit.params[1] == pytest.approx(float(x @ data / (x @ x)), rel=1e-6)
+
+
+def test_nlls_linear_model_spends_no_evaluation_on_confirming():
+    """Started away from its solution, a linear model takes three damped
+    steps: damped by lambda = 1e-3, the first stops short of the minimum,
+    and the third leaves a predicted decrease far below REL_TOL chi^2.
+    The fit stops there without evaluating a fourth step, so it makes four
+    model evaluations (the start and one per step), and each step lowers
+    chi^2 by more than REL_TOL chi^2."""
+    x, data, problem = _line_problem([1.0, 1.0])
+    problem, chi2s = _counting(problem)
+    fit = nlls_fit(problem)
+    assert fit.converged
+    assert fit.n_iterations == 3
+    assert len(chi2s) == fit.n_iterations + 1
+    assert all(a - b > fitting.REL_TOL * b for a, b in zip(chi2s, chi2s[1:]))
+    reference = np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), data)[0]
+    assert fit.params == pytest.approx(reference, rel=1e-7)
 
 
 def test_nlls_covariance_matches_linear_algebra():
@@ -209,6 +272,44 @@ def test_fit_background_without_beat_returns_flat_beat():
     assert fit.beat_amplitude == 0.0
 
 
+def test_fit_background_reaches_the_bounded_least_squares_minimum(
+    cavity, mode01, detection, phase_noise
+):
+    """On campaign spectra with the peak window excluded, scipy's bounded
+    least squares, started at fit_background's result, lowers chi^2 by no
+    more than 1e-6 relative: the tail + beat fit stopped at a minimum, not
+    at a start whose first step ran into a bound."""
+    from scipy.optimize import least_squares
+
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    for spec in specs:
+        bg = fitting.fit_background(spec, [window])
+        f = spec.frequencies
+        keep = (f < window[0]) | (f > window[1])
+        f_k, y_k = f[keep], spec.values[keep]
+        sigma = np.sqrt(fitting._level_and_variance(spec.values, spec.n_averages)[1][keep])
+        f_pivot = math.sqrt(f_k[0] * f_k[-1])
+
+        def resid(p):
+            offset, amp, exponent, center, width, beat = p
+            h2 = (width / 2.0) ** 2
+            model = offset + amp * (f_k / f_pivot) ** -exponent
+            return (y_k - model - beat * h2 / ((f_k - center) ** 2 + h2)) / sigma
+
+        start = [
+            bg.tail_offset, bg.tail_amplitude * f_pivot**-bg.tail_exponent,
+            bg.tail_exponent, bg.beat_center, bg.beat_width, bg.beat_amplitude,
+        ]
+        ours = float(resid(start) @ resid(start))
+        lower = [0.0, 0.0, 0.1, f_k[0], 2.0 * spec.f_step, 0.0]
+        upper = [np.inf, np.inf, 6.0, f_k[-1], np.inf, np.inf]
+        best = least_squares(
+            resid, start, bounds=(lower, upper), x_scale="jac",
+            xtol=1e-12, ftol=1e-12, gtol=1e-12,
+        )
+        assert 2.0 * best.cost >= ours * (1.0 - 1e-6)
+
+
 def test_fit_background_needs_enough_bins():
     noisy, _ = _background_spectrum()
     with pytest.raises(ValueError, match="too few"):
@@ -286,6 +387,42 @@ def test_fit_peak_statistical_consistency(cavity, mode01, detection, phase_noise
     assert len(pulls) >= 17
     assert abs(pulls.mean()) < 0.8
     assert 0.5 < pulls.std() < 1.8
+
+
+def test_analyze_peak_converges_without_background(
+    cavity, mode01, detection, phase_noise
+):
+    """On a spectrum with no tail and no beat note, the full-band fit's tail
+    is not identified; the fit still converges at every noise seed, and the
+    a_eff pulls look like unit normals."""
+    model = _peak_setup(cavity, mode01, detection, phase_noise)
+    truth = 2.1**2 * (2 * model.metadata["n_eff"] + 1)
+    pulls = []
+    for seed in range(40):
+        noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=seed)
+        res, _ = fitting.analyze_peak(noisy, mode01, cavity, detection, (200e3, 300e3))
+        pulls.append((res.a_eff - truth) / res.a_eff_sigma)
+    assert abs(np.mean(pulls)) < 0.5
+    assert 0.7 < np.std(pulls) < 1.3
+
+
+def test_analyze_peak_makes_two_lm_fits(cavity, mode01, detection, phase_noise):
+    """One spectrum costs the beat fit (6 parameters) and the full-band fit
+    (10 parameters), and at most 11 model evaluations between them."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    inner = fitting.nlls_fit
+    fits = []
+
+    def counting_fit(problem):
+        problem, chi2s = _counting(problem)
+        fits.append((problem.initial_params.size, chi2s))
+        return inner(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "nlls_fit", counting_fit)
+        fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
+    assert [size for size, _ in fits] == [6, 10]
+    assert sum(len(chi2s) for _, chi2s in fits) <= 11
 
 
 def test_analyze_peak_handles_background_and_wide_peak(
@@ -440,17 +577,21 @@ def _assert_jacobians_match(fits, sizes):
 
 
 def test_background_jacobians_match_central_differences():
-    """Tail (3 parameters) and tail + beat (6 parameters)."""
+    """Tail + beat (6 parameters), and the tail alone (3 parameters) that a
+    beat-free spectrum gets."""
     noisy, _ = _background_spectrum()
     fits = _recorded_fits(lambda: fitting.fit_background(noisy))
-    _assert_jacobians_match(fits, [3, 6])
+    _assert_jacobians_match(fits, [6])
+    beat_free, _ = _background_spectrum(beat_amplitude=0.0)
+    fits = _recorded_fits(lambda: fitting.fit_background(beat_free))
+    _assert_jacobians_match(fits, [3])
 
 
 def test_peak_jacobians_match_central_differences(
     cavity, mode01, detection, phase_noise
 ):
     """The joint fit (6 parameters) is the only LM fit fit_peak runs;
-    analyze_peak runs the tail, beat and full-band (10 parameters) fits."""
+    analyze_peak runs the beat and full-band (10 parameters) fits."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
     noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=5)
     theta = sc.sideband_angle(cavity, mode01.omega_m)
@@ -462,14 +603,14 @@ def test_peak_jacobians_match_central_differences(
     fits = _recorded_fits(
         lambda: fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
     )
-    _assert_jacobians_match(fits, [3, 6, 10])
+    _assert_jacobians_match(fits, [6, 10])
 
 
 def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise):
     """A filler gives the Jacobian at the point of its model call, whatever
     happens between that call and the fill.
 
-    Each recorded problem (tail, beat, joint and full-band) gets a filler at
+    Each recorded problem (beat, joint and full-band) gets a filler at
     x0; the model is then evaluated at points x_j that differ from x0 in
     parameter j alone, and x0 is changed in place. The filler must still give
     the bits that a filler from a fresh model(x0) gives, so a kernel that
@@ -512,7 +653,7 @@ def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise)
             got = filled(fill, shape)
             assert np.array_equal(got, filled(want_fill, shape)), x0.size
             assert np.all(np.isfinite(got)), x0.size
-    assert sizes == [3, 6, 6, 3, 6, 10]
+    assert sizes == [6, 6, 6, 10]
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
