@@ -393,6 +393,42 @@ def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
     return BackgroundModel(offset, amp * f_pivot**exponent, exponent, *beat)
 
 
+def _background_start(spectrum: Spectrum, exclusion_windows, var: np.ndarray):
+    """The closed-form start of a background fit on the bins outside
+    exclusion_windows, given the spectrum's per-bin variance var from
+    _level_and_variance: the mask of those bins, f_pivot, and the six
+    parameters of _background_models' full model on them.
+
+    The tail has exponent 2, and its offset and amplitude solve the weighted
+    linear least-squares problem, clipped to their bounds. The largest bump
+    of that tail's smoothed residual gives the beat note's centre, width
+    (its span above half height) and amplitude. A bump that does not stand
+    3 sigma above the residual gives beat amplitude 0, at the first bin and
+    one bin wide."""
+    f = spectrum.frequencies
+    keep = _retained_mask(f, exclusion_windows)
+    if keep.sum() < 50:
+        raise ValueError("too few retained bins for a background fit")
+    f_k, y_k, var_k = f[keep], spectrum.values[keep], var[keep]
+    f_pivot = math.sqrt(f_k[0] * f_k[-1])
+
+    power = (f_k / f_pivot) ** -2.0
+    design = np.stack([np.ones_like(f_k), power])
+    weighted = design * (1.0 / var_k)
+    offset, amp = np.linalg.solve(weighted @ design.T, weighted @ y_k)
+    offset, amp = max(offset, 0.0), max(amp, 0.0)
+
+    smooth_resid = _moving_average(y_k - (offset + amp * power))
+    i_beat = int(np.argmax(smooth_resid))
+    beat_amp = max(float(smooth_resid[i_beat]), 1e-12)
+    if beat_amp < 3.0 * math.sqrt(median(var_k)):
+        beat = [f_k[0], spectrum.f_step, 0.0]
+    else:
+        width = float((smooth_resid >= beat_amp / 2.0).sum()) * spectrum.f_step
+        beat = [f_k[i_beat], max(width, 2.0 * spectrum.f_step), beat_amp]
+    return keep, f_pivot, np.array([offset, amp, 2.0, *beat])
+
+
 def fit_background(
     spectrum: Spectrum,
     exclusion_windows: Sequence[tuple[float, float]] = (),
@@ -400,68 +436,36 @@ def fit_background(
     """Fit the phenomenological background on bins outside the mechanical
     peaks.
 
-    The start is the power-law tail at exponent 2 whose offset and amplitude
-    solve the weighted linear least-squares problem, clipped to their
-    bounds. The largest bump of that start's smoothed residual is the beat
-    note's guess, and one LM fit of tail and beat together starts from both.
-    A bump that does not stand 3 sigma above the residual, or a joint fit
-    that fails, leaves an LM fit of the tail alone from the same start, with
-    beat_amplitude = 0."""
-    f = spectrum.frequencies
-    keep = _retained_mask(f, exclusion_windows)
-    if keep.sum() < 50:
-        raise ValueError("too few retained bins for a background fit")
-    f_k = f[keep]
-    y_k = spectrum.values[keep]
-    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1][keep]
-    weights = 1.0 / var
-    f_pivot, tail_model, full_model, bounds = _background_models(f_k, spectrum.f_step)
+    One LM fit of tail and beat note together starts from _background_start.
+    A start with no beat note, or a joint fit that fails, leaves an LM fit
+    of the tail alone from the same tail start, with beat_amplitude = 0."""
+    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
+    keep, f_pivot, start = _background_start(spectrum, exclusion_windows, var)
+    f_k = spectrum.frequencies[keep]
+    _, tail_model, full_model, bounds = _background_models(f_k, spectrum.f_step)
 
-    # stage 1: closed-form tail start, linear in (offset, amplitude)
-    design = np.stack([np.ones_like(f_k), (f_k / f_pivot) ** -2.0])
-    weighted = design * weights
-    offset0, amp0 = np.linalg.solve(weighted @ design.T, weighted @ y_k)
-    start = np.array([max(offset0, 0.0), max(amp0, 0.0), 2.0])
-
-    def tail_only():
-        tail_fit = nlls_fit(
+    def fit(model, initial_params, bounds):
+        return nlls_fit(
             FitProblem(
-                model=tail_model,
-                data=y_k,
-                weights=weights,
-                initial_params=start,
-                bounds=bounds[:3],
-            )
-        )
-        return _pivoted(f_pivot, *tail_fit.params, f_k[0], spectrum.f_step, 0.0)
-
-    # stage 2: beat note from the start's residual
-    smooth_resid = _moving_average(y_k - tail_model(start)[0])
-    i_beat = int(np.argmax(smooth_resid))
-    beat_amp0 = max(float(smooth_resid[i_beat]), 1e-12)
-    half = beat_amp0 / 2.0
-    above = smooth_resid >= half
-    width0 = max(float(above.sum()) * spectrum.f_step, 2.0 * spectrum.f_step)
-
-    # skip the beat stage when the residual bump is consistent with noise
-    local_sigma = math.sqrt(median(var))
-    if beat_amp0 < 3.0 * local_sigma:
-        return tail_only()
-
-    try:
-        full_fit = nlls_fit(
-            FitProblem(
-                model=full_model,
-                data=y_k,
-                weights=weights,
-                initial_params=[*start, f_k[i_beat], width0, beat_amp0],
+                model=model,
+                data=spectrum.values[keep],
+                weights=1.0 / var[keep],
+                initial_params=initial_params,
                 bounds=bounds,
             )
-        )
+        ).params
+
+    def tail_only():
+        tail = fit(tail_model, start[:3], bounds[:3])
+        return _pivoted(f_pivot, *tail, f_k[0], spectrum.f_step, 0.0)
+
+    if start[5] == 0.0:
+        return tail_only()
+    try:
+        return _pivoted(f_pivot, *fit(full_model, start, bounds))
     except (DegenerateFitError, FitConvergenceError):
         # an evaporating beat note makes its shape parameters unidentifiable
         return tail_only()
-    return _pivoted(f_pivot, *full_fit.params)
 
 
 def subtract_background(spectrum: Spectrum, background: BackgroundModel) -> Spectrum:
@@ -936,13 +940,14 @@ def analyze_peak(
 ) -> tuple[PeakFitResult, BackgroundModel]:
     """Fit one spectrum's mechanical peak and background together.
 
-    A background fit that excludes the search window, subtracted, gives the
-    starting peak. One fit over the full band then takes the flat level a0,
-    the lineshape, the power-law tail and the beat note together, so a broad
-    peak's wings cannot leak into the tail. That fit weights each bin by the
-    inverse of the variance from the spectrum's smoothed level, and leaves
-    out the spurious bins away from the starting peak and the caller's
-    exclusion_windows.
+    The closed-form background start of fit_background, taken outside the
+    search window and subtracted, gives the starting peak; no LM fit runs
+    before the one that follows. That one fit over the full band takes the
+    flat level a0, the lineshape, the power-law tail and the beat note
+    together, so a broad peak's wings cannot leak into the tail. It weights
+    each bin by the inverse of the variance from the spectrum's smoothed
+    level, and leaves out the spurious bins away from the starting peak and
+    the caller's exclusion_windows.
 
     The tail carries the slope and a0 is the only flat level: the result has
     a1 = 0 with a zero covariance row and column, and tail_offset = 0.
@@ -950,13 +955,16 @@ def analyze_peak(
     widths, 60 bins) clipped to the band.
     """
     theta = sideband_angle(cavity, mode.omega_m)
-    start = fit_background(spectrum, [*exclusion_windows, search_window])
+    level = _level_and_variance(spectrum.values, spectrum.n_averages)
+    _, pivot, params = _background_start(
+        spectrum, [*exclusion_windows, search_window], level[1]
+    )
+    start = _pivoted(pivot, *params)
     init = _peak_initial_guess(
         subtract_background(spectrum, start), search_window, detection
     )
 
     f = spectrum.frequencies
-    level = _level_and_variance(spectrum.values, spectrum.n_averages)
     keep = _kept_bins(spectrum, level, init, exclusion_windows)
     f_k = f[keep]
     grid = PeakGrid(f_k, detection)

@@ -62,10 +62,10 @@ TWO_PI = 2.0 * math.pi
 ArrayLike = Union[float, np.ndarray]
 
 
-# np.median and np.percentile reach numpy.ma (through their NaN check and
-# np.unique), an import that costs every CLI process about 20 ms. These two
-# repeat their arithmetic on a 1-D float array, NaN propagation included, and
-# give the same bits.
+# np.median reaches numpy.ma (through its NaN check and np.unique), an
+# import that costs every CLI process about 20 ms. median repeats its
+# arithmetic on a 1-D float array, NaN propagation included, and gives the
+# same bits.
 
 
 def median(values: np.ndarray) -> float:
@@ -77,21 +77,6 @@ def median(values: np.ndarray) -> float:
     if math.isnan(part[-1]):
         return float(part[-1])
     return float(part[lo : mid + 1].mean())
-
-
-def percentile(values: np.ndarray, q: float) -> float:
-    """np.percentile(values, q) (linear method) of a non-empty 1-D float
-    array."""
-    n = values.size
-    index = (n - 1) * (q / 100)
-    lo = math.floor(index) if index < n - 1 else -1
-    hi = lo + 1 if lo >= 0 else -1
-    part = np.partition(values, sorted({0, -1, lo, hi}))
-    if math.isnan(part[-1]):
-        return float(part[-1])
-    t = index - lo
-    a, b = float(part[lo]), float(part[hi])
-    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 class SpectrumUnits(enum.Enum):

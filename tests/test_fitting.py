@@ -310,6 +310,24 @@ def test_fit_background_reaches_the_bounded_least_squares_minimum(
         assert 2.0 * best.cost >= ours * (1.0 - 1e-6)
 
 
+def test_background_start_is_where_fit_background_starts():
+    """The closed-form start puts the beat note within its synthesized
+    width, gives a beat-free spectrum beat amplitude 0, and is the exact
+    point fit_background's LM fit starts from."""
+    for beat_amplitude in (0.05, 0.0):
+        noisy, truth = _background_spectrum(beat_amplitude=beat_amplitude)
+        var = fitting._level_and_variance(noisy.values, noisy.n_averages)[1]
+        _, _, start = fitting._background_start(noisy, (), var)
+        if beat_amplitude:
+            assert abs(start[3] - truth.beat_center) < truth.beat_width
+            assert start[5] > 0.0
+        else:
+            assert start[5] == 0.0
+        fits = _recorded_fits(lambda: fitting.fit_background(noisy))
+        first = fits[0][0].initial_params
+        assert np.array_equal(first, start if beat_amplitude else start[:3])
+
+
 def test_fit_background_needs_enough_bins():
     noisy, _ = _background_spectrum()
     with pytest.raises(ValueError, match="too few"):
@@ -406,10 +424,9 @@ def test_analyze_peak_converges_without_background(
     assert 0.7 < np.std(pulls) < 1.3
 
 
-def test_analyze_peak_makes_two_lm_fits(cavity, mode01, detection, phase_noise):
-    """One spectrum costs the beat fit (6 parameters) and the full-band fit
-    (10 parameters), and at most 11 model evaluations between them."""
-    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+def _counted_fits(run):
+    """Call run() and return (size, chi^2 of every model call) of every
+    nlls_fit call it makes, failed ones included."""
     inner = fitting.nlls_fit
     fits = []
 
@@ -420,9 +437,44 @@ def test_analyze_peak_makes_two_lm_fits(cavity, mode01, detection, phase_noise):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "nlls_fit", counting_fit)
-        fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
-    assert [size for size, _ in fits] == [6, 10]
-    assert sum(len(chi2s) for _, chi2s in fits) <= 11
+        run()
+    return fits
+
+
+def test_analyze_peak_makes_one_lm_fit(cavity, mode01, detection, phase_noise):
+    """One spectrum costs the full-band fit (10 parameters) alone, started
+    from the closed-form background start, and at most 5 model evaluations
+    (the background LM fit that used to come first made it 11)."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    fits = _counted_fits(
+        lambda: fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
+    )
+    assert [size for size, _ in fits] == [10]
+    assert sum(len(chi2s) for _, chi2s in fits) <= 5
+
+
+@pytest.mark.parametrize(
+    "noise, floor, seed, max_evals",
+    [
+        (LaserNoise(s_phi_phi=2.2e-2 / 256e3**2), 3.5e-3, 42, 65),
+        (LaserNoise(s_eps_eps=1e-13), 1e-4, 1000, 90),
+    ],
+    ids=["phase", "amplitude"],
+)
+def test_campaign_lm_work_stays_at_one_fit_per_spectrum(
+    cavity, mode01, detection, noise, floor, seed, max_evals
+):
+    """A 12-spectrum campaign makes 12 nlls_fit calls, all full-band fits,
+    and few model evaluations (61 phase and 85 amplitude when the bounds
+    were set; two LM fits per spectrum took 160 and 180). A counter, not a
+    timing, so a second LM stage cannot come back unnoticed."""
+    fits = _counted_fits(
+        lambda: run_campaign(
+            mode01, cavity, detection, noise, g0=TWO_PI * 2.1, seed=seed, floor=floor
+        )
+    )
+    assert [size for size, _ in fits] == [10] * 12
+    assert sum(len(chi2s) for _, chi2s in fits) <= max_evals
 
 
 def test_analyze_peak_handles_background_and_wide_peak(
@@ -590,8 +642,8 @@ def test_background_jacobians_match_central_differences():
 def test_peak_jacobians_match_central_differences(
     cavity, mode01, detection, phase_noise
 ):
-    """The joint fit (6 parameters) is the only LM fit fit_peak runs;
-    analyze_peak runs the beat and full-band (10 parameters) fits."""
+    """The joint fit (6 parameters) is the only LM fit fit_peak runs, and
+    the full-band fit (10 parameters) the only one analyze_peak runs."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
     noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=5)
     theta = sc.sideband_angle(cavity, mode01.omega_m)
@@ -603,7 +655,7 @@ def test_peak_jacobians_match_central_differences(
     fits = _recorded_fits(
         lambda: fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
     )
-    _assert_jacobians_match(fits, [6, 10])
+    _assert_jacobians_match(fits, [10])
 
 
 def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise):
@@ -653,7 +705,7 @@ def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise)
             got = filled(fill, shape)
             assert np.array_equal(got, filled(want_fill, shape)), x0.size
             assert np.all(np.isfinite(got)), x0.size
-    assert sizes == [6, 6, 6, 10]
+    assert sizes == [6, 6, 10]
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
