@@ -239,8 +239,9 @@ def cmd_synth(args) -> int:
     files = []
     for i, spec in enumerate(specs):
         if args.raw_scale != 1.0:
-            spec = spec.replace_values(spec.values * args.raw_scale)
-            spec.units = spectra.SpectrumUnits.RAW
+            spec = replace(
+                spec, values=spec.values * args.raw_scale, units=spectra.SpectrumUnits.RAW
+            )
         name = f"spectrum_{i:03d}.csv"
         dataio.write_spectrum(spec, out_dir / name)
         files.append(name)

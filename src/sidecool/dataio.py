@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -276,9 +276,12 @@ def calibrate_with_tone(
     if integrated <= 0:
         raise ToneNotFoundError("tone has non-positive integrated power")
     scale = tone_power / integrated
-    out = spectrum.replace_values(spectrum.values * scale, calibration_scale=scale)
-    out.units = SpectrumUnits.HZ2_PER_HZ
-    return out
+    return replace(
+        spectrum,
+        values=spectrum.values * scale,
+        units=SpectrumUnits.HZ2_PER_HZ,
+        metadata=dict(spectrum.metadata, calibration_scale=scale),
+    )
 
 
 def convert_frequency_noise(s_nu_nu: float, omega: float) -> float:
@@ -422,7 +425,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     ]
     det = d["detection"]
     detection = DetectionConfig(
-        probe_kappa=TWO_PI * (det.get("probe_kappa_hz") or d["cavity"]["kappa_hz"]),
+        probe_kappa=TWO_PI * det.get("probe_kappa_hz", d["cavity"]["kappa_hz"]),
         theta_lo=det.get("theta_lo_rad", math.pi / 2.0),
         probe_detuning=TWO_PI * det.get("probe_detuning_hz", 0.0),
     )
@@ -438,7 +441,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             frequency_hz=d["calibration_tone"]["frequency_hz"],
             power_hz2=d["calibration_tone"]["power_hz2"],
         )
-    g0 = TWO_PI * d["g0_hz"] if "g0_hz" in d else None
+    g0_hz = d.get("g0_hz")
+    if g0_hz is not None and not 0.0 < g0_hz < math.inf:  # NaN fails too
+        raise ValueError(f"g0_hz must be positive and finite, got {g0_hz!r}")
+    g0 = None if g0_hz is None else TWO_PI * g0_hz
     return ExperimentConfig(
         cavity=cavity,
         modes=modes,

@@ -344,9 +344,9 @@ def _retained_mask(f: np.ndarray, exclusion_windows) -> np.ndarray:
 
 
 def _background_models(f: np.ndarray, f_step: float):
-    """f_pivot, fit_background's two models on the retained grid f (Hz), and
-    the bounds of their parameters: (offset, amplitude at f_pivot, exponent)
-    for the tail, and the beat's (centre, width, amplitude) after them. Each
+    """f_pivot, the tail + beat background model on the retained grid f (Hz),
+    and the bounds of its six parameters: the tail's (offset, amplitude at
+    f_pivot, exponent), then the beat note's (centre, width, amplitude). The
     model returns its values and a filler for its rows.
 
     The power law is pivoted at the band's geometric mean so amplitude and
@@ -357,34 +357,26 @@ def _background_models(f: np.ndarray, f_step: float):
     x = f / f_pivot
     log_x = np.log(x)
 
-    def tail_model(p):
-        amp, power = p[1], x ** (-p[2])
-
-        def fill(jac_t):
-            jac_t[0] = 1.0
-            jac_t[1] = power
-            jac_t[2] = -amp * power * log_x
-
-        return p[0] + amp * power, fill
-
     # beat = amp h^2 / (d^2 + h^2) with d = f - center, h = width / 2
-    def full_model(p):
-        tail, fill_tail = tail_model(p)
+    def model(p):
+        tail_amp, power = p[1], x ** (-p[2])
         amp, d, h = p[5], f - p[3], p[4] / 2.0
         den = d**2 + h**2
 
         def fill(jac_t):
-            fill_tail(jac_t)
+            jac_t[0] = 1.0
+            jac_t[1] = power
+            jac_t[2] = -tail_amp * power * log_x
             lobe = h**2 / den
             jac_t[3] = amp * 2.0 * d * lobe / den
             jac_t[4] = amp * h * d**2 / den**2
             jac_t[5] = lobe
 
-        return tail + amp * h**2 / den, fill
+        return p[0] + tail_amp * power + amp * h**2 / den, fill
 
     bounds = [(0.0, None), (0.0, None), (0.1, 6.0)]
     bounds += [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), (0.0, None)]
-    return f_pivot, tail_model, full_model, bounds
+    return f_pivot, model, bounds
 
 
 def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
@@ -437,46 +429,33 @@ def fit_background(
     peaks.
 
     One LM fit of tail and beat note together starts from _background_start.
-    A start with no beat note, or a joint fit that fails, leaves an LM fit
-    of the tail alone from the same tail start, with beat_amplitude = 0."""
+    A start with no beat note pins the beat amplitude at 0 by its bounds, so
+    the fit moves the tail alone. A failed fit raises DegenerateFitError or
+    FitConvergenceError."""
     var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
     keep, f_pivot, start = _background_start(spectrum, exclusion_windows, var)
-    f_k = spectrum.frequencies[keep]
-    _, tail_model, full_model, bounds = _background_models(f_k, spectrum.f_step)
-
-    def fit(model, initial_params, bounds):
-        return nlls_fit(
-            FitProblem(
-                model=model,
-                data=spectrum.values[keep],
-                weights=1.0 / var[keep],
-                initial_params=initial_params,
-                bounds=bounds,
-            )
-        ).params
-
-    def tail_only():
-        tail = fit(tail_model, start[:3], bounds[:3])
-        return _pivoted(f_pivot, *tail, f_k[0], spectrum.f_step, 0.0)
-
+    _, model, bounds = _background_models(spectrum.frequencies[keep], spectrum.f_step)
     if start[5] == 0.0:
-        return tail_only()
-    try:
-        return _pivoted(f_pivot, *fit(full_model, start, bounds))
-    except (DegenerateFitError, FitConvergenceError):
-        # an evaporating beat note makes its shape parameters unidentifiable
-        return tail_only()
+        bounds[5] = (0.0, 0.0)
+    fit = nlls_fit(
+        FitProblem(
+            model=model,
+            data=spectrum.values[keep],
+            weights=1.0 / var[keep],
+            initial_params=start,
+            bounds=bounds,
+        )
+    )
+    return _pivoted(f_pivot, *fit.params)
 
 
 def subtract_background(spectrum: Spectrum, background: BackgroundModel) -> Spectrum:
     """Bin-wise background subtraction. Negative bins are allowed (they are
     noise) and counted in the metadata."""
     values = spectrum.values - evaluate_background(background, spectrum.frequencies)
-    return spectrum.replace_values(
-        values,
-        background_subtracted=True,
-        negative_bins=int(np.sum(values < 0)),
-    )
+    metadata = dict(spectrum.metadata, background_subtracted=True)
+    metadata["negative_bins"] = int(np.sum(values < 0))
+    return replace(spectrum, values=values, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +577,24 @@ def _peak_result(params, covariance, reduced_chi2, theta, window, keep):
     )
 
 
+def _with_lineshape(background, k: int, grid: PeakGrid):
+    """The model background(p[:k]) + grid.model(p[k:]) for a FitProblem:
+    background is a k-parameter model in FitProblem's form, and its k
+    Jacobian rows come before the lineshape's four."""
+
+    def model(p):
+        level, fill_level = background(p[:k])
+        peak, fill_peak = grid.model(p[k:])
+
+        def fill(jac_t):
+            fill_level(jac_t[:k])
+            fill_peak(jac_t[k:])
+
+        return level + peak, fill
+
+    return model
+
+
 def fit_peak(
     spectrum: Spectrum,
     window: tuple[float, float],
@@ -624,9 +621,18 @@ def fit_peak(
     keep = _kept_bins(spectrum, level, init, ())[sl]
     w_lo, w_hi = TWO_PI * window[0], TWO_PI * window[1]
     grid = PeakGrid(f[keep], detection)
+    dw = grid.w - init.omega_eff
+
+    def flat_and_slope(p):
+        def fill(jac_t):
+            jac_t[0] = 1.0
+            jac_t[1] = dw
+
+        return p[0] + p[1] * dw, fill
+
     joint = nlls_fit(
         FitProblem(
-            model=lambda p: grid.model(p, init.omega_eff),
+            model=_with_lineshape(flat_and_slope, 2, grid),
             data=spectrum.values[sl][keep],
             weights=1.0 / var[keep],
             initial_params=init.as_array(),
@@ -968,21 +974,7 @@ def analyze_peak(
     keep = _kept_bins(spectrum, level, init, exclusion_windows)
     f_k = f[keep]
     grid = PeakGrid(f_k, detection)
-    f_pivot, _, background_model, bounds = _background_models(f_k, spectrum.f_step)
-
-    # p is fit_background's six parameters, whose offset is the flat level
-    # a0, then a2, a3, omega_eff and gamma_eff. The peak's filler writes its
-    # a0 and a1 rows to rows 4 and 5, which the background's filler then
-    # overwrites.
-    def band_model(p):
-        background, fill_background = background_model(p)
-        peak, fill_peak = grid.model(np.array([0.0, 0.0, *p[6:]]), init.omega_eff)
-
-        def fill(jac_t):
-            fill_peak(jac_t[4:])
-            fill_background(jac_t)
-
-        return background + peak, fill
+    f_pivot, background_model, bounds = _background_models(f_k, spectrum.f_step)
 
     # the start's offset plus the level under its peak; tail amplitude at f_pivot
     x0 = np.array([*astuple(start), *init.as_array()[2:]])
@@ -993,7 +985,9 @@ def analyze_peak(
     bounds.append((TWO_PI * spectrum.f_step, w_hi - w_lo))
     fit = nlls_fit(
         FitProblem(
-            model=band_model,
+            # fit_background's six parameters, whose offset is the flat
+            # level a0, then a2, a3, omega_eff and gamma_eff
+            model=_with_lineshape(background_model, 6, grid),
             data=spectrum.values[keep],
             weights=1.0 / level[1][keep],
             initial_params=x0,

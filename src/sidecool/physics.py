@@ -48,11 +48,15 @@ class InstabilityError(ValueError):
     """Anti-damped regime: total mechanical width is not positive."""
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+# Range checks, written so that NaN fails them.
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,12 @@ class CavitySpec:
     input_transmission_ppm: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite("kappa", self.kappa)
-        _check_finite("detuning", self.detuning)
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.cavity_length is not None and self.cavity_length <= 0:
-            raise ValueError("cavity_length must be positive when given")
-        if self.laser_frequency is not None and self.laser_frequency <= 0:
-            raise ValueError("laser_frequency must be positive when given")
+        _check_positive("kappa", self.kappa)
+        if not math.isfinite(self.detuning):
+            raise ValueError(f"detuning must be finite, got {self.detuning!r}")
+        for name in ("cavity_length", "laser_frequency", "input_transmission_ppm"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,14 @@ class MechMode:
     label: str = ""
 
     def __post_init__(self) -> None:
-        _check_finite("omega_m", self.omega_m)
-        if self.omega_m <= 0:
-            raise ValueError(f"omega_m must be positive, got {self.omega_m}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        _check_positive("omega_m", self.omega_m)
+        _check_non_negative("temperature", self.temperature)
         if self.gamma_m is None and self.q_factor is None:
             raise ValueError("one of gamma_m, q_factor is required")
+        # checked before the divisions that fill in the missing one
+        for name in ("gamma_m", "q_factor"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
         if self.gamma_m is None:
             object.__setattr__(self, "gamma_m", self.omega_m / self.q_factor)
         elif self.q_factor is None:
@@ -114,8 +117,6 @@ class MechMode:
                     f"q_factor {self.q_factor} inconsistent with "
                     f"omega_m/gamma_m = {q_implied}"
                 )
-        if self.gamma_m <= 0:
-            raise ValueError("gamma_m must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,7 @@ class DriveField:
     gamma_opt: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite("g0", self.g0)
-        if self.g0 <= 0:
-            raise ValueError("g0 must be positive")
+        _check_positive("g0", self.g0)
         given = (self.input_photon_flux is not None) + (self.gamma_opt is not None)
         if given != 1:
             raise ValueError(
@@ -149,8 +148,8 @@ class LaserNoise:
     s_eps_eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s_phi_phi < 0 or self.s_eps_eps < 0:
-            raise ValueError("noise PSDs must be non-negative")
+        _check_non_negative("s_phi_phi", self.s_phi_phi)
+        _check_non_negative("s_eps_eps", self.s_eps_eps)
 
     @property
     def is_zero(self) -> bool:

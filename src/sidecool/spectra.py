@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -97,8 +97,14 @@ class DetectionConfig:
     probe_detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.probe_kappa <= 0:
-            raise ValueError("probe_kappa must be positive")
+        # written so that NaN fails
+        if not 0.0 < self.probe_kappa < math.inf:
+            raise ValueError(
+                f"probe_kappa must be positive and finite, got {self.probe_kappa!r}"
+            )
+        for name in ("theta_lo", "probe_detuning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def probe_cavity(self) -> CavitySpec:
         return CavitySpec(kappa=self.probe_kappa, detuning=self.probe_detuning)
@@ -158,13 +164,19 @@ class CalibrationTone:
     power_hz2: float
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0 or self.power_hz2 <= 0:
-            raise ValueError("tone frequency and power must be positive")
+        # written so that NaN fails
+        for name in ("frequency_hz", "power_hz2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"tone {name} must be positive and finite, "
+                    f"got {getattr(self, name)!r}"
+                )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
-    """One-sided PSD on a uniform frequency grid."""
+    """One-sided PSD on a uniform frequency grid; a value, changed only by
+    dataclasses.replace."""
 
     f_start: float
     f_step: float
@@ -174,7 +186,7 @@ class Spectrum:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         # written so that NaN fails
         if not math.isfinite(self.f_start):
             raise ValueError("f_start must be finite")
@@ -196,18 +208,6 @@ class Spectrum:
         if i_hi <= i_lo:
             raise ValueError(f"window [{f_lo}, {f_hi}] Hz is outside the grid")
         return slice(i_lo, i_hi)
-
-    def replace_values(self, values: np.ndarray, **meta) -> "Spectrum":
-        md = dict(self.metadata)
-        md.update(meta)
-        return Spectrum(
-            f_start=self.f_start,
-            f_step=self.f_step,
-            values=values,
-            units=self.units,
-            n_averages=self.n_averages,
-            metadata=md,
-        )
 
 
 def detection_filter_c(omega: ArrayLike, detection: DetectionConfig) -> np.ndarray:
@@ -265,22 +265,23 @@ def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
 
 
 class PeakGrid:
-    """The six-parameter peak model on one fixed grid (Hz).
+    """The lineshape |C(w)|^2 (a2 L(w) + a3 D(w)) on one fixed grid (Hz).
 
     |C(w)|^2 depends only on the grid and the detection configuration, so it
     is computed once here rather than on every model evaluation. Parameter
-    vectors are ordered as LineshapeCoeffs.as_array(); the linear background
-    term is taken relative to a fixed omega_ref.
+    vectors are (a2, a3, omega_eff, gamma_eff), the last four entries of
+    LineshapeCoeffs.as_array(); the flat and sloped level is left to the
+    caller.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
         self.w = TWO_PI * np.asarray(f, dtype=float)
         self.c_sq = np.abs(detection_filter_c(self.w, detection)) ** 2
 
-    def model(self, params: np.ndarray, omega_ref: float):
-        """The model values at params, and a function that writes
-        d model / d params[i] into row i of a (6, n_bins) array."""
-        a0, a1, a2, a3, omega_eff, gamma_eff = params
+    def model(self, params: np.ndarray):
+        """The lineshape values at params, and a function that writes
+        d lineshape / d params[i] into row i of a (4, n_bins) array."""
+        a2, a3, omega_eff, gamma_eff = params
         w, c_sq = self.w, self.c_sq
         lor, disp, (half, u_p, u_m, q_p, q_m) = _lineshapes(w, omega_eff, gamma_eff)
 
@@ -293,14 +294,12 @@ class PeakGrid:
                 2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
             )
             d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
-            jac_t[0] = 1.0
-            jac_t[1] = w - omega_ref
-            jac_t[2] = c_sq * lor
-            jac_t[3] = c_sq * disp
-            jac_t[4] = c_sq * (a2 * d_omega[0] + a3 * d_omega[1])
-            jac_t[5] = c_sq * (a2 * d_gamma[0] + a3 * d_gamma[1])
+            jac_t[0] = c_sq * lor
+            jac_t[1] = c_sq * disp
+            jac_t[2] = c_sq * (a2 * d_omega[0] + a3 * d_omega[1])
+            jac_t[3] = c_sq * (a2 * d_gamma[0] + a3 * d_gamma[1])
 
-        return a0 + a1 * (w - omega_ref) + c_sq * (a2 * lor + a3 * disp), fill
+        return c_sq * (a2 * lor + a3 * disp), fill
 
 
 def peak_model(
@@ -308,12 +307,13 @@ def peak_model(
     coeffs: LineshapeCoeffs,
     detection: DetectionConfig,
 ) -> np.ndarray:
-    """Evaluate the six-parameter peak model on a frequency grid (Hz).
-
-    The linear background term is taken relative to the peak frequency
-    coeffs.omega_eff, which decorrelates it from the flat level.
-    """
-    return PeakGrid(f, detection).model(coeffs.as_array(), coeffs.omega_eff)[0]
+    """Evaluate the six-parameter peak model on a frequency grid (Hz): the
+    level a0 + a1 (w - omega_eff) plus PeakGrid's lineshape. Taking the
+    slope relative to the peak frequency decorrelates it from the flat
+    level."""
+    grid = PeakGrid(f, detection)
+    level = coeffs.a0 + coeffs.a1 * (grid.w - coeffs.omega_eff)
+    return level + grid.model(coeffs.as_array()[2:])[0]
 
 
 def model_coefficients(
@@ -428,9 +428,7 @@ def synthesize_measured_spectrum(
         if idx < 0 or idx >= values.size:
             raise ValueError("calibration tone falls outside the frequency grid")
         values[idx] += tone.power_hz2 / model.f_step
-    out = model.replace_values(values)
-    out.n_averages = n_averages
-    return out
+    return replace(model, values=values, n_averages=n_averages)
 
 
 def synthesize_campaign(
@@ -464,8 +462,7 @@ def synthesize_campaign(
             floor=floor, background=background,
         )
         measured = synthesize_measured_spectrum(model, n_averages, rng, tone=tone)
-        measured.units = SpectrumUnits.HZ2_PER_HZ
-        spectra.append(measured)
+        spectra.append(replace(measured, units=SpectrumUnits.HZ2_PER_HZ))
         md = model.metadata
         g_hz = g0 / TWO_PI
         truth.append(

@@ -71,12 +71,10 @@ def weighted_line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return params, cov
 
 
-def peak_model_reference(f, coeffs, detection, omega_ref=None):
+def peak_model_reference(f, coeffs, detection):
     """The six-parameter peak model written out term by term, with |C|^2
     evaluated on every call: the arithmetic spectra.peak_model replaced."""
     w = TWO_PI * np.asarray(f, dtype=float)
-    if omega_ref is None:
-        omega_ref = coeffs.omega_eff
     c_sq = np.abs(detection_filter_c(w, detection)) ** 2
     half = coeffs.gamma_eff / 2.0
     chi_p = 1.0 / ((w - coeffs.omega_eff) ** 2 + half**2)
@@ -85,6 +83,6 @@ def peak_model_reference(f, coeffs, detection, omega_ref=None):
     dispersive = (w - coeffs.omega_eff) * chi_p + (-w - coeffs.omega_eff) * chi_m
     return (
         coeffs.a0
-        + coeffs.a1 * (w - omega_ref)
+        + coeffs.a1 * (w - coeffs.omega_eff)
         + c_sq * (coeffs.a2 * lorentzian + coeffs.a3 * dispersive)
     )

@@ -101,9 +101,9 @@ def test_criterion_03_excess_occupancy_forms_agree(capsys):
 
 
 def test_criterion_04_fitted_area_equals_occupancy(capsys, cavity, mode01, detection, phase_noise):
-    """Fitting the noiseless model spectrum returns an effective peak weight
-    equal to g^2 (2 n_eff + 1) across effective widths."""
-    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    """Fitting the noiseless model spectrum with the pipeline's analyze_peak
+    returns an effective peak weight equal to g^2 (2 n_eff + 1) across
+    effective widths."""
     worst = 0.0
     for width_hz in (1.2e3, 2.7e3, 9e3):
         drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * width_hz - mode01.gamma_m)
@@ -114,7 +114,9 @@ def test_criterion_04_fitted_area_equals_occupancy(capsys, cavity, mode01, detec
                 cavity=cavity, drive=drive, noise=phase_noise,
                 detection=detection, floor=5e-3,
             )
-            res = fitting.fit_peak(model, (200e3, 300e3), detection, theta=theta)
+            res, _ = fitting.analyze_peak(
+                model, mode01, cavity, detection, (200e3, 300e3)
+            )
         expected = 2.1**2 * (2 * model.metadata["n_eff"] + 1)
         worst = max(worst, abs(res.a_eff - expected) / expected)
     _verdict(

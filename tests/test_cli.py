@@ -257,9 +257,46 @@ def test_cooling_curve_requires_three_fragments(tmp_path, config_path, capsys):
     assert "3" in capsys.readouterr().err
 
 
+# case -> (where the bad value goes in the config document, the value, and
+# the text the error line shows for the field and the value)
+_BAD_CONFIG_VALUES = {
+    "config-zero-q": (("modes", 0, "q_factor"), 0, ["q_factor", "got 0"]),
+    "config-zero-gamma": (("modes", 0, "gamma_hz"), 0, ["gamma_m", "got 0.0"]),
+    "config-nan-q": (("modes", 0, "q_factor"), math.nan, ["q_factor", "got nan"]),
+    "config-nan-temperature": (
+        ("modes", 0, "temperature_k"), math.nan, ["temperature", "got nan"]
+    ),
+    "config-nan-phase-noise": (
+        ("noise", "s_phi_phi_rad2_per_hz"), math.nan, ["s_phi_phi", "got nan"]
+    ),
+    "config-nan-g0": (("g0_hz",), math.nan, ["g0_hz", "got nan"]),
+    "config-nan-probe-kappa": (
+        ("detection", "probe_kappa_hz"), math.nan, ["probe_kappa", "got nan"]
+    ),
+    "config-zero-probe-kappa": (
+        ("detection", "probe_kappa_hz"), 0, ["probe_kappa", "got 0.0"]
+    ),
+    "config-nan-tone": (
+        ("calibration_tone", "frequency_hz"), math.nan, ["tone frequency_hz", "got nan"]
+    ),
+    "config-nan-length": (("cavity", "length_m"), math.nan, ["cavity_length", "got nan"]),
+}
+
+
 def _bad_input_argv(case, tmp_path, config_path):
     """argv for one malformed input; every case writes to tmp_path/out.json."""
     out = ["--out", str(tmp_path / "out.json")]
+    if case in _BAD_CONFIG_VALUES:
+        (*keys, last), value, _ = _BAD_CONFIG_VALUES[case]
+        doc = json.loads(Path(config_path).read_text())
+        section = doc
+        for key in keys:
+            section = section[key]
+        section[last] = value
+        path = tmp_path / "bad_config.json"
+        path.write_text(json.dumps(doc))
+        return ["predict", "--config", str(path),
+                "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
     if case == "missing-spectrum":
         return ["fit-peak", "--config", config_path,
                 "--spectrum", str(tmp_path / "missing.csv"), *out]
@@ -332,6 +369,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         "fragment-nan-a3-sigma",
         "config-missing-key",
         "missing-config",
+        *_BAD_CONFIG_VALUES,
     ],
 )
 def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
@@ -350,6 +388,8 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "fragment-nan-a3-sigma": ["NaN sigma"],
         "config-missing-key": [str(tmp_path / "bad_config.json"), "'frequency_hz'"],
     }
+    for bad, (_, _, texts) in _BAD_CONFIG_VALUES.items():
+        named[bad] = [str(tmp_path / "bad_config.json"), *texts]
     for text in named.get(case, []):
         assert text in line
     assert not (tmp_path / "out.json").exists()

@@ -324,8 +324,7 @@ def test_background_start_is_where_fit_background_starts():
         else:
             assert start[5] == 0.0
         fits = _recorded_fits(lambda: fitting.fit_background(noisy))
-        first = fits[0][0].initial_params
-        assert np.array_equal(first, start if beat_amplitude else start[:3])
+        assert np.array_equal(fits[0][0].initial_params, start)
 
 
 def test_fit_background_needs_enough_bins():
@@ -530,7 +529,7 @@ def test_analyze_peak_excludes_a_spurious_bin(cavity, mode01, detection, phase_n
     values[i] *= 8.0
     base, _ = fitting.analyze_peak(spec, mode01, cavity, detection, window)
     spiked, _ = fitting.analyze_peak(
-        spec.replace_values(values), mode01, cavity, detection, window
+        dataclasses.replace(spec, values=values), mode01, cavity, detection, window
     )
     assert spiked.n_excluded == base.n_excluded + 1
     assert spiked.n_points == base.n_points - 1
@@ -546,11 +545,23 @@ def test_failed_band_fit_raises_its_type(
     monkeypatch, cavity, mode01, detection, phase_noise, error
 ):
     """A failed full-band fit leaves analyze_peak as its own type, with no
-    earlier fit kept in its place. analyze_campaign skips that spectrum with
-    a warning on a typed fit error; any other ValueError is a bug and
-    propagates."""
+    earlier fit kept in its place, and a failed tail + beat fit leaves
+    fit_background the same way, with no tail-only fit in its place.
+    analyze_campaign skips that spectrum with a warning on a typed fit
+    error; any other ValueError is a bug and propagates."""
     specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
     inner = fitting.nlls_fit
+    background_fits = []
+
+    def failing_background_fit(problem):
+        background_fits.append(problem.initial_params.size)
+        raise error("injected background-fit failure")
+
+    monkeypatch.setattr(fitting, "nlls_fit", failing_background_fit)
+    with pytest.raises(error, match="injected background-fit failure"):
+        fitting.fit_background(specs[0], [window])
+    assert background_fits == [6]
+
     band_fits = []
 
     def failing_band_fit(problem):
@@ -629,14 +640,12 @@ def _assert_jacobians_match(fits, sizes):
 
 
 def test_background_jacobians_match_central_differences():
-    """Tail + beat (6 parameters), and the tail alone (3 parameters) that a
-    beat-free spectrum gets."""
-    noisy, _ = _background_spectrum()
-    fits = _recorded_fits(lambda: fitting.fit_background(noisy))
-    _assert_jacobians_match(fits, [6])
-    beat_free, _ = _background_spectrum(beat_amplitude=0.0)
-    fits = _recorded_fits(lambda: fitting.fit_background(beat_free))
-    _assert_jacobians_match(fits, [3])
+    """Tail + beat (6 parameters), on a spectrum with a beat note and on a
+    beat-free one, whose beat amplitude is pinned at 0."""
+    for beat_amplitude in (0.05, 0.0):
+        noisy, _ = _background_spectrum(beat_amplitude=beat_amplitude)
+        fits = _recorded_fits(lambda: fitting.fit_background(noisy))
+        _assert_jacobians_match(fits, [6])
 
 
 def test_peak_jacobians_match_central_differences(
@@ -709,22 +718,22 @@ def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise)
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
+    """peak_model with a sloped level, and PeakGrid's lineshape alone, which
+    is the reference with a0 = a1 = 0."""
     f = 156e3 + 50.0 * np.arange(4001)
+    grid = spectra.PeakGrid(f, detection)
     for gamma_opt_hz in (1e3, 3e3, 9e3):
         drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * gamma_opt_hz)
         coeffs, _ = spectra.model_coefficients(
             mode01, cavity, drive, phase_noise, floor=5e-3
         )
-        coeffs = spectra.LineshapeCoeffs.from_array(
-            coeffs.as_array() + np.array([0.0, 1e-9, 0.0, 0.0, 0.0, 0.0])
-        )
-        grid = spectra.PeakGrid(f, detection)
-        for omega_ref in (None, TWO_PI * 255e3):
-            if omega_ref is None:
-                got = spectra.peak_model(f, coeffs, detection)
-            else:
-                got = grid.model(coeffs.as_array(), omega_ref)[0]
-            ref = peak_model_reference(f, coeffs, detection, omega_ref=omega_ref)
+        sloped = dataclasses.replace(coeffs, a1=1e-9)
+        lineshape = dataclasses.replace(coeffs, a0=0.0, a1=0.0)
+        for got, ref in [
+            (spectra.peak_model(f, sloped, detection), sloped),
+            (grid.model(coeffs.as_array()[2:])[0], lineshape),
+        ]:
+            ref = peak_model_reference(f, ref, detection)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 

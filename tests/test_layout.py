@@ -3,12 +3,14 @@ names, every ``__all__`` entry exists in its module, every module-level
 import is used, the package namespace re-exports only public names, nothing
 in the package imports scipy (only numpy is a run-time dependency),
 nothing calls a numpy function that imports numpy.ma, and no module keeps
-mutable state in a module-level list, dict or set; and every name the
-benchmark tracer patches exists where it patches it."""
+mutable state in a module-level list, dict or set; every name the
+benchmark tracer patches exists where it patches it; and the package's
+version is the one pyproject.toml declares."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +306,18 @@ def test_tracer_targets_exist():
     The tracer is parsed, not imported."""
     tree = _parse(TRACING)
     assert _missing_tracer_targets(tree) == []
+
+
+def test_tool_version_matches_pyproject():
+    """report.TOOL_VERSION, written into every report and manifest, is the
+    version pyproject.toml declares. The file is read with a regex, not
+    tomllib, so that Python 3.10 runs this too."""
+    from sidecool import report
+
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert declared is not None
+    assert report.TOOL_VERSION == declared.group(1)
 
 
 def test_package_namespace_names_are_public():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -261,6 +262,16 @@ def test_spectrum_window_slice_bounds():
     assert np.array_equal(s.frequencies[sl], [120.0, 130.0, 140.0, 150.0])
     with pytest.raises(ValueError):
         s.window_slice(500.0, 600.0)
+
+
+def test_spectrum_is_a_frozen_value():
+    """A Spectrum changes only through dataclasses.replace, which checks the
+    new fields again."""
+    s = Spectrum(f_start=100.0, f_step=10.0, values=np.arange(10.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.units = SpectrumUnits.HZ2_PER_HZ
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(s, values=np.full(10, np.nan))
 
 
 def test_lineshape_coeffs_round_trip():
