@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--sweep", choices=["detuning", "gamma-opt", "quality-factor"], required=True
     )
-    p_pred.add_argument("--min", type=float, required=True, dest="sweep_min")
-    p_pred.add_argument("--max", type=float, required=True, dest="sweep_max")
+    p_pred.add_argument("--min", type=float, required=True)
+    p_pred.add_argument("--max", type=float, required=True)
     p_pred.add_argument("--points", type=int, default=21)
     p_pred.add_argument("--log", action="store_true")
     p_pred.add_argument("--out", default=None, help="TSV output (default stdout)")
@@ -163,12 +163,22 @@ _SYNTH_RULES = (
 )
 
 
-def cmd_synth(args) -> int:
-    for options, rule, test in _SYNTH_RULES:
+def _broken_rule(args, rules) -> str | None:
+    """The error text of the first option in rules, (options, rule, test)
+    triples, whose value fails its test; an option left unset is not
+    tested."""
+    for options, rule, test in rules:
         for option in options.split():
             value = getattr(args, option)
             if value is not None and not test(value):
-                return _fail(f"--{option.replace('_', '-')} {rule}")
+                return f"--{option.replace('_', '-')} {rule}"
+    return None
+
+
+def cmd_synth(args) -> int:
+    error = _broken_rule(args, _SYNTH_RULES)
+    if error:
+        return _fail(error)
     config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for synthesis")
@@ -432,17 +442,40 @@ def _predict_row(value, mode, cavity, g0, noise, gamma_opt=None):
     ]
 
 
+# (when, options, rule, test) for predict's sweep options: when is the
+# --sweep choice a rule holds for, "--log", or None for every sweep. Each
+# test is written so that NaN fails. A sweep value that passes them but is
+# physically unstable is an "unstable" row, not an error.
+_PREDICT_RULES = (
+    (None, "min max", "must be finite", math.isfinite),
+    (None, "points", "must be at least 1", lambda v: v >= 1),
+    (
+        "quality-factor", "min", "must be positive for a quality-factor sweep",
+        lambda v: v > 0,
+    ),
+    (
+        "gamma-opt", "min", "must not be negative for a gamma-opt sweep",
+        lambda v: v >= 0,
+    ),
+    ("--log", "min", "must be positive with --log", lambda v: v > 0),
+)
+
+
 def cmd_predict(args) -> int:
+    applies = {None, args.sweep, "--log" if args.log else None}
+    error = _broken_rule(args, [r[1:] for r in _PREDICT_RULES if r[0] in applies])
+    if error:
+        return _fail(error)
+    if args.max <= args.min:
+        return _fail("--max must exceed --min")
     config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for predictions")
     noise = config.noise or LaserNoise()
-    if args.sweep_max <= args.sweep_min:
-        return _fail("--max must exceed --min")
     if args.log:
-        values = np.geomspace(args.sweep_min, args.sweep_max, args.points)
+        values = np.geomspace(args.min, args.max, args.points)
     else:
-        values = np.linspace(args.sweep_min, args.sweep_max, args.points)
+        values = np.linspace(args.min, args.max, args.points)
 
     rows = []
     for v in values:

@@ -251,17 +251,21 @@ def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
     """The Lorentzian L and dispersive D shapes at angular frequencies w.
 
     Each is a sum over the +w and -w resonance lobes, with detuning
-    u = +-w - omega_eff and q = 1/(u^2 + (gamma_eff/2)^2). Returns L, D and
-    the lobe terms (gamma_eff/2, u+, u-, q+, q-) that the Jacobian filler of
-    PeakGrid.model uses. Each lobe of L carries area 1/2 over f = w/2pi for
-    narrow peaks; D is odd about the peak up to the mirrored lobe.
+    u = +-w - omega_eff and q = 1/(u^2 + h^2), h = gamma_eff/2, so that
+    L = h Q and D = sum u q with Q = sum q. Returns L, D and the lobe terms
+    (h, u+, u-, q+, q-, Q) that the Jacobian filler of PeakGrid.model uses:
+    since u^2 q = 1 - h^2 q on each lobe, every derivative of L and D is a
+    sum of Q, sum q^2 and sum u q^2. Each lobe of L carries area 1/2 over
+    f = w/2pi for narrow peaks; D is odd about the peak up to the mirrored
+    lobe.
     """
     half = gamma_eff / 2.0
     u_p = w - omega_eff
-    u_m = -w - omega_eff
+    u_m = -omega_eff - w  # the bits of -w - omega_eff, in one pass
     q_p = 1.0 / (u_p**2 + half**2)
     q_m = 1.0 / (u_m**2 + half**2)
-    return half * (q_p + q_m), u_p * q_p + u_m * q_m, (half, u_p, u_m, q_p, q_m)
+    q_sum = q_p + q_m
+    return half * q_sum, u_p * q_p + u_m * q_m, (half, u_p, u_m, q_p, q_m, q_sum)
 
 
 class PeakGrid:
@@ -280,24 +284,34 @@ class PeakGrid:
 
     def model(self, params: np.ndarray):
         """The lineshape values at params, and a function that writes
-        d lineshape / d params[i] into row i of a (4, n_bins) array."""
+        d lineshape / d params[i] into row i of a (4, n_bins) array.
+
+        With h = gamma_eff/2 and, over both lobes of _lineshapes,
+        S = sum u q^2, T = sum q^2 and Q = sum q, the identity
+        u^2 q = 1 - h^2 q gives
+
+            dL/d omega_eff = 2 h S,
+            dD/d omega_eff = Q - 2 h^2 T = 2 dL/d gamma_eff,
+            dD/d gamma_eff = -h S,
+
+        so the two nonlinear rows cost S and Q - 2 h^2 T alone."""
         a2, a3, omega_eff, gamma_eff = params
-        w, c_sq = self.w, self.c_sq
-        lor, disp, (half, u_p, u_m, q_p, q_m) = _lineshapes(w, omega_eff, gamma_eff)
+        c_sq = self.c_sq
+        lor, disp, (half, u_p, u_m, q_p, q_m, q_sum) = _lineshapes(
+            self.w, omega_eff, gamma_eff
+        )
 
         def fill(jac_t):
-            # (dL, dD) / d omega_eff and (dL, dD) / d gamma_eff
-            q_p2, q_m2 = q_p**2, q_m**2
-            u_q2 = u_p * q_p2 + u_m * q_m2
-            d_omega = (
-                2.0 * half * u_q2,
-                2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m),
-            )
-            d_gamma = (0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2), -half * u_q2)
-            jac_t[0] = c_sq * lor
-            jac_t[1] = c_sq * disp
-            jac_t[2] = c_sq * (a2 * d_omega[0] + a3 * d_omega[1])
-            jac_t[3] = c_sq * (a2 * d_gamma[0] + a3 * d_gamma[1])
+            np.multiply(c_sq, lor, out=jac_t[0])
+            np.multiply(c_sq, disp, out=jac_t[1])
+            t_p, t_m = q_p * q_p, q_m * q_m
+            c_s = c_sq * (u_p * t_p + u_m * t_m)
+            c_r = c_sq * (q_sum - 2.0 * half**2 * (t_p + t_m))
+            # rows a2 (dL/dw) + a3 (dD/dw) and a2 (dL/dG) + a3 (dD/dG)
+            np.multiply(c_s, 2.0 * a2 * half, out=jac_t[2])
+            jac_t[2] += a3 * c_r
+            np.multiply(c_r, 0.5 * a2, out=jac_t[3])
+            jac_t[3] -= a3 * half * c_s
 
         return c_sq * (a2 * lor + a3 * disp), fill
 

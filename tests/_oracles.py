@@ -86,3 +86,55 @@ def peak_model_reference(f, coeffs, detection):
         + coeffs.a1 * (w - coeffs.omega_eff)
         + c_sq * (coeffs.a2 * lorentzian + coeffs.a3 * dispersive)
     )
+
+
+def lineshape_jacobian_reference(w, c_sq, params):
+    """The four Jacobian rows of spectra.PeakGrid.model at params = (a2, a3,
+    omega_eff, gamma_eff), each derivative of L and D written out term by
+    term from the lobe terms, squares included, with no identity between
+    them."""
+    a2, a3, omega_eff, gamma_eff = params
+    half = gamma_eff / 2.0
+    u_p = w - omega_eff
+    u_m = -w - omega_eff
+    q_p = 1.0 / (u_p**2 + half**2)
+    q_m = 1.0 / (u_m**2 + half**2)
+    lorentzian = half * (q_p + q_m)
+    dispersive = u_p * q_p + u_m * q_m
+    q_p2, q_m2 = q_p**2, q_m**2
+    u_q2 = u_p * q_p2 + u_m * q_m2
+    dl_domega = 2.0 * half * u_q2
+    dd_domega = 2.0 * (u_p**2 * q_p2 + u_m**2 * q_m2) - (q_p + q_m)
+    dl_dgamma = 0.5 * (q_p + q_m) - half**2 * (q_p2 + q_m2)
+    dd_dgamma = -half * u_q2
+    return np.array(
+        [
+            c_sq * lorentzian,
+            c_sq * dispersive,
+            c_sq * (a2 * dl_domega + a3 * dd_domega),
+            c_sq * (a2 * dl_dgamma + a3 * dd_dgamma),
+        ]
+    )
+
+
+def background_jacobian_reference(f, params):
+    """The six Jacobian rows of the tail + beat model of
+    fitting._background_models on the grid f (Hz), at params = (offset,
+    tail amplitude at the pivot sqrt(f[0] f[-1]), exponent, beat centre,
+    beat width, beat amplitude), with the tail power taken as x ** -e."""
+    offset, amp, exponent, center, width, beat = params
+    x = f / math.sqrt(f[0] * f[-1])
+    power = x ** (-exponent)
+    half = width / 2.0
+    d = f - center
+    den = d**2 + half**2
+    return np.array(
+        [
+            np.ones_like(f),
+            power,
+            -amp * power * np.log(x),
+            beat * 2.0 * d * half**2 / den**2,
+            beat * half * d**2 / den**2,
+            half**2 / den,
+        ]
+    )

@@ -283,6 +283,40 @@ _BAD_CONFIG_VALUES = {
 }
 
 
+# case -> (predict's sweep options, and the texts its error line shows: the
+# option and its rule); each sweep is rejected before any point is computed
+_BAD_PREDICT_OPTIONS = {
+    "predict-nan-min": (
+        ["--sweep", "gamma-opt", "--min", "nan", "--max", "50e3"],
+        ["--min must be finite"],
+    ),
+    "predict-nan-max": (
+        ["--sweep", "detuning", "--min=-600e3", "--max", "nan"],
+        ["--max must be finite"],
+    ),
+    "predict-zero-points": (
+        ["--sweep", "gamma-opt", "--min", "200", "--max", "50e3", "--points", "0"],
+        ["--points must be at least 1"],
+    ),
+    "predict-zero-q-min": (
+        ["--sweep", "quality-factor", "--min", "0", "--max", "1e7", "--points", "3"],
+        ["--min must be positive", "quality-factor"],
+    ),
+    "predict-negative-gamma-opt-min": (
+        ["--sweep", "gamma-opt", "--min=-100", "--max", "50e3"],
+        ["--min must not be negative", "gamma-opt"],
+    ),
+    "predict-log-zero-min": (
+        ["--sweep", "gamma-opt", "--min", "0", "--max", "50e3", "--log"],
+        ["--min must be positive with --log"],
+    ),
+    "predict-log-negative-min": (
+        ["--sweep", "detuning", "--min=-600e3", "--max=-100e3", "--log"],
+        ["--min must be positive with --log"],
+    ),
+}
+
+
 def _bad_input_argv(case, tmp_path, config_path):
     """argv for one malformed input; every case writes to tmp_path/out.json."""
     out = ["--out", str(tmp_path / "out.json")]
@@ -297,6 +331,8 @@ def _bad_input_argv(case, tmp_path, config_path):
         path.write_text(json.dumps(doc))
         return ["predict", "--config", str(path),
                 "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
+    if case in _BAD_PREDICT_OPTIONS:
+        return ["predict", "--config", config_path, *_BAD_PREDICT_OPTIONS[case][0], *out]
     if case == "missing-spectrum":
         return ["fit-peak", "--config", config_path,
                 "--spectrum", str(tmp_path / "missing.csv"), *out]
@@ -370,6 +406,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         "config-missing-key",
         "missing-config",
         *_BAD_CONFIG_VALUES,
+        *_BAD_PREDICT_OPTIONS,
     ],
 )
 def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
@@ -390,6 +427,8 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     }
     for bad, (_, _, texts) in _BAD_CONFIG_VALUES.items():
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]
+    for bad, (_, texts) in _BAD_PREDICT_OPTIONS.items():
+        named[bad] = texts
     for text in named.get(case, []):
         assert text in line
     assert not (tmp_path / "out.json").exists()

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidecool as sc
 from sidecool import fitting, spectra
@@ -18,7 +20,12 @@ from sidecool.physics import DriveField, LaserNoise
 from sidecool.spectra import BackgroundModel, Spectrum, SpectrumUnits
 
 from conftest import peak_record, run_campaign
-from _oracles import peak_model_reference, weighted_line_fit
+from _oracles import (
+    background_jacobian_reference,
+    lineshape_jacobian_reference,
+    peak_model_reference,
+    weighted_line_fit,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -317,7 +324,7 @@ def test_background_start_is_where_fit_background_starts():
     for beat_amplitude in (0.05, 0.0):
         noisy, truth = _background_spectrum(beat_amplitude=beat_amplitude)
         var = fitting._level_and_variance(noisy.values, noisy.n_averages)[1]
-        _, _, start = fitting._background_start(noisy, (), var)
+        _, _, start = fitting._background_start(noisy, noisy.frequencies, (), var)
         if beat_amplitude:
             assert abs(start[3] - truth.beat_center) < truth.beat_width
             assert start[5] > 0.0
@@ -715,6 +722,82 @@ def test_jacobian_filler_binds_its_point(cavity, mode01, detection, phase_noise)
             assert np.array_equal(got, filled(want_fill, shape)), x0.size
             assert np.all(np.isfinite(got)), x0.size
     assert sizes == [6, 6, 10]
+
+
+def _assert_rows_match(fill, reference):
+    """fill's rows equal the reference rows within 1e-12 of each row's norm."""
+    got = np.full(reference.shape, np.nan)
+    fill(got)
+    for i, (row, ref) in enumerate(zip(got, reference)):
+        err = np.linalg.norm(row - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref), f"row {i}"
+
+
+# the campaign grid (Hz) and, as angular frequencies, the full-band fit's
+# bounds on omega_eff and gamma_eff over it
+_GRID_F = 156e3 + 50.0 * np.arange(4001)
+_W_LO, _W_HI = TWO_PI * _GRID_F[0], TWO_PI * _GRID_F[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a2=st.floats(1e-2, 1e2),
+    a3_share=st.floats(-1.0, 1.0),
+    omega_eff=st.floats(_W_LO, _W_HI),
+    gamma_eff=st.floats(TWO_PI * 50.0, _W_HI - _W_LO),
+)
+def test_lineshape_jacobian_matches_long_form(a2, a3_share, omega_eff, gamma_eff):
+    """PeakGrid's rows, built from identities between the lobe terms, equal
+    the derivatives written out term by term, anywhere inside the full-band
+    fit's bounds (a3 drawn as a share of a2, of either sign)."""
+    grid = spectra.PeakGrid(_GRID_F, spectra.DetectionConfig(probe_kappa=TWO_PI * 204e3))
+    params = np.array([a2, a3_share * a2, omega_eff, gamma_eff])
+    _assert_rows_match(
+        grid.model(params)[1], lineshape_jacobian_reference(grid.w, grid.c_sq, params)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offset=st.floats(0.0, 1e-2),
+    amp=st.floats(0.0, 1e-1),
+    exponent=st.floats(0.1, 6.0),
+    center=st.floats(_GRID_F[0], _GRID_F[-1]),
+    width=st.floats(100.0, _GRID_F[-1] - _GRID_F[0]),
+    beat=st.floats(0.0, 1.0),
+)
+def test_background_jacobian_matches_long_form(offset, amp, exponent, center, width, beat):
+    """The tail + beat rows, with the tail power taken as exp(-e log x),
+    equal the long-form rows with x ** -e, anywhere inside the background
+    fit's bounds."""
+    _, model, _ = fitting._background_models(_GRID_F, 50.0)
+    params = np.array([offset, amp, exponent, center, width, beat])
+    _assert_rows_match(model(params)[1], background_jacobian_reference(_GRID_F, params))
+
+
+def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, phase_noise):
+    """analyze_peak's full-band fit starts its lineshape, and its level on
+    top of the background start's offset, at the guess made from a whole
+    background-subtracted spectrum, though it subtracts the start in the
+    search window alone (a1 is no parameter of that fit)."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    for spec in specs:
+        var = fitting._level_and_variance(spec.values, spec.n_averages)[1]
+        _, pivot, params = fitting._background_start(spec, spec.frequencies, [window], var)
+        start = fitting._pivoted(pivot, *params)
+        want = fitting._peak_initial_guess(
+            fitting.subtract_background(spec, start), window, detection
+        )
+        fits = _recorded_fits(
+            lambda: fitting.analyze_peak(spec, mode01, cavity, detection, window)
+        )
+        x0 = fits[0][0].initial_params
+        got = [x0[0], *x0[6:]]
+        ref = [start.tail_offset + want.a0, *want.as_array()[2:]]
+        for name, value, expected in zip(
+            ["offset + a0", "a2", "a3", "omega_eff", "gamma_eff"], got, ref
+        ):
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), name
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
