@@ -204,11 +204,18 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     n_iter = 0
     converged = False
 
-    # One buffer per fit for the Jacobian transpose and one for its weighted
-    # copy: fresh ones per step land on the heap top, and glibc trims and
-    # re-faults those pages step after step.
-    jac_t = np.empty((params.size, w.size))
-    jtw = np.empty_like(jac_t)
+    # The Jacobian transpose and its weighted copy share one block per fit.
+    # Fresh buffers per step land on the heap top, and glibc trims and
+    # re-faults those pages step after step. Across fits, glibc's dynamic
+    # thresholds decide: a freed mmap-ed block sets the mmap threshold to its
+    # size and the trim threshold to twice that. Two 320 KB buffers (4001
+    # bins, 10 parameters) then free 640 KB of heap top, which reaches the
+    # trim threshold, so every fit faults them in again: about 220 minor
+    # faults per spectrum. One 640 KB block leaves a 1.28 MB trim threshold,
+    # and the next fit reuses the heap top as it is. Holding the buffers
+    # across fits would need module-level state, and still measured 370-460
+    # faults per 12-spectrum campaign.
+    jac_t, jtw = np.empty((2, params.size, w.size))
 
     def linearized(fill):
         # Fill jac_t and jtw and return the normal matrix. The loop ends at
@@ -957,6 +964,25 @@ def summarize_peaks(
     )
 
 
+def _check_grid(grid: PeakGrid, f: np.ndarray, detection: DetectionConfig) -> None:
+    """Raise ValueError unless grid is the PeakGrid of frequencies f (Hz)
+    under detection: same size, same first and last w, same detection."""
+    if grid.w.size != f.size:
+        raise ValueError(
+            f"grid has {grid.w.size} bins but the spectrum has {f.size}"
+        )
+    for end, name in ((0, "first"), (-1, "last")):
+        if grid.w[end] != TWO_PI * f[end]:
+            raise ValueError(
+                f"grid's {name} w is {grid.w[end]!r} rad/s but the spectrum's "
+                f"is {TWO_PI * f[end]!r} rad/s"
+            )
+    if grid.detection != detection:
+        raise ValueError(
+            f"grid was built for {grid.detection!r}, not for {detection!r}"
+        )
+
+
 def analyze_peak(
     spectrum: Spectrum,
     mode: MechMode,
@@ -964,6 +990,8 @@ def analyze_peak(
     detection: DetectionConfig,
     search_window: tuple[float, float],
     exclusion_windows: Sequence[tuple[float, float]] = (),
+    *,
+    grid: PeakGrid | None = None,
 ) -> tuple[PeakFitResult, BackgroundModel]:
     """Fit one spectrum's mechanical peak and background together.
 
@@ -980,9 +1008,17 @@ def analyze_peak(
     a1 = 0 with a zero covariance row and column, and tail_offset = 0.
     window is the peak's reach, the fitted centre +- max(15 effective
     widths, 60 bins) clipped to the band.
+
+    grid is PeakGrid(spectrum.frequencies, detection), built here when it is
+    None; spectra on one grid can share it. A grid built for other
+    frequencies or another detection raises ValueError.
     """
     theta = sideband_angle(cavity, mode.omega_m)
     f = spectrum.frequencies
+    if grid is None:
+        grid = PeakGrid(f, detection)
+    else:
+        _check_grid(grid, f, detection)
     level = _level_and_variance(spectrum.values, spectrum.n_averages)
     _, pivot, params = _background_start(
         spectrum, f, [*exclusion_windows, search_window], level[1]
@@ -999,7 +1035,6 @@ def analyze_peak(
 
     keep = _kept_bins(spectrum, f, level, init, exclusion_windows)
     f_k = f[keep]
-    grid = PeakGrid(f_k, detection)
     f_pivot, background_model, bounds = _background_models(f_k, spectrum.f_step)
 
     # the start's offset plus the level under its peak; tail amplitude at f_pivot
@@ -1013,7 +1048,7 @@ def analyze_peak(
         FitProblem(
             # fit_background's six parameters, whose offset is the flat
             # level a0, then a2, a3, omega_eff and gamma_eff
-            model=_with_lineshape(background_model, 6, grid),
+            model=_with_lineshape(background_model, 6, grid[keep]),
             data=spectrum.values[keep],
             weights=1.0 / level[1][keep],
             initial_params=x0,
@@ -1044,13 +1079,20 @@ def analyze_campaign(
     """Run the full inverse pipeline over a set of cooling-power spectra.
 
     A spectrum whose peak cannot be fitted is skipped with a warning; the
-    campaign proceeds as long as at least three points survive.
+    campaign proceeds as long as at least three points survive. Spectra on
+    one frequency grid share one PeakGrid, so |C(w)|^2 is computed once per
+    grid rather than once per spectrum.
     """
     peaks = []
+    grids: dict[tuple[float, float, int], PeakGrid] = {}
     for i, spec in enumerate(spectra):
+        key = (spec.f_start, spec.f_step, spec.values.size)
+        if key not in grids:
+            grids[key] = PeakGrid(spec.frequencies, detection)
         try:
             result, _ = analyze_peak(
-                spec, mode, cavity, detection, search_window, exclusion_windows
+                spec, mode, cavity, detection, search_window, exclusion_windows,
+                grid=grids[key],
             )
         except (PeakNotFoundError, FitConvergenceError, DegenerateFitError) as exc:
             warnings.warn(f"spectrum {i}: peak fit failed ({exc}); skipped", stacklevel=2)

@@ -20,6 +20,7 @@ but is not itself detected, so it produces no cross term.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import warnings
@@ -275,12 +276,19 @@ class PeakGrid:
     is computed once here rather than on every model evaluation. Parameter
     vectors are (a2, a3, omega_eff, gamma_eff), the last four entries of
     LineshapeCoeffs.as_array(); the flat and sloped level is left to the
-    caller.
+    caller. grid[keep] is the same grid on the bins a boolean mask keeps,
+    without computing |C(w)|^2 again.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
+        self.detection = detection
         self.w = TWO_PI * np.asarray(f, dtype=float)
         self.c_sq = np.abs(detection_filter_c(self.w, detection)) ** 2
+
+    def __getitem__(self, keep: np.ndarray) -> "PeakGrid":
+        sub = copy.copy(self)
+        sub.w, sub.c_sq = self.w[keep], self.c_sq[keep]
+        return sub
 
     def model(self, params: np.ndarray):
         """The lineshape values at params, and a function that writes

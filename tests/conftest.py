@@ -46,7 +46,7 @@ def phase_noise():
     return sc.LaserNoise(s_phi_phi=2.2e-2 / (256e3) ** 2)
 
 
-def run_campaign(
+def campaign_spectra(
     mode,
     cavity,
     detection,
@@ -58,8 +58,9 @@ def run_campaign(
     n_averages=200,
     tone=None,
 ):
-    """Synthesize and invert one full cooling campaign in memory."""
-    n_min, gamma_min = sc.min_occupancy(mode, cavity, g0, noise)
+    """Synthesize one full cooling campaign on one 4001-bin grid: its
+    spectra, the truth of each, and the search window."""
+    _, gamma_min = sc.min_occupancy(mode, cavity, g0, noise)
     grid = np.geomspace(0.5 * gamma_min, 4.0 * gamma_min, n_powers)
     mode_f = mode.omega_m / TWO_PI
     background = spectra.BackgroundModel(
@@ -88,12 +89,20 @@ def run_campaign(
             background=background,
             tone=tone,
         )
+    return specs, truth, (mode_f - 30e3, mode_f + 30e3)
+
+
+def run_campaign(mode, cavity, detection, noise, g0, seed, floor, **kwargs):
+    """Synthesize and invert one full cooling campaign in memory; kwargs go
+    to campaign_spectra."""
+    n_min, gamma_min = sc.min_occupancy(mode, cavity, g0, noise)
+    specs, truth, window = campaign_spectra(
+        mode, cavity, detection, noise, g0, seed, floor, **kwargs
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         result = fitting.analyze_campaign(
-            specs,
-            mode,
-            cavity,
-            detection,
-            search_window=(mode_f - 30e3, mode_f + 30e3),
+            specs, mode, cavity, detection, search_window=window
         )
     return result, {"n_min": n_min, "gamma_min": gamma_min, "truth": truth}
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pickle
+import platform
 import warnings
 
 import numpy as np
@@ -19,7 +21,7 @@ from sidecool.fitting import (
 from sidecool.physics import DriveField, LaserNoise
 from sidecool.spectra import BackgroundModel, Spectrum, SpectrumUnits
 
-from conftest import peak_record, run_campaign
+from conftest import campaign_spectra, peak_record, run_campaign
 from _oracles import (
     background_jacobian_reference,
     lineshape_jacobian_reference,
@@ -508,8 +510,9 @@ def test_analyze_peak_handles_background_and_wide_peak(
     )
 
 
-def _campaign_spectra(cavity, mode01, detection, phase_noise):
-    """Four phase-noise spectra with background, and the search window."""
+def _campaign_spectra(cavity, mode01, detection, phase_noise, n_bins=4001, seed=3):
+    """Four phase-noise spectra with background from 156 kHz in 50 Hz bins,
+    and the search window."""
     mode_f = mode01.omega_m / TWO_PI
     floor = 3.5e-3
     bg = BackgroundModel(
@@ -520,8 +523,8 @@ def _campaign_spectra(cavity, mode01, detection, phase_noise):
         mode=mode01, cavity=cavity, g0=TWO_PI * 2.1,
         gamma_opt_grid=TWO_PI * np.geomspace(1.5e3, 8e3, 4),
         noise=phase_noise, detection=detection,
-        f_start=156e3, f_step=50.0, n_bins=4001,
-        n_averages=200, seed=3, floor=floor, background=bg,
+        f_start=156e3, f_step=50.0, n_bins=n_bins,
+        n_averages=200, seed=seed, floor=floor, background=bg,
     )
     return specs, (mode_f - 30e3, mode_f + 30e3)
 
@@ -956,6 +959,116 @@ def test_analyze_campaign_skips_hopeless_spectra(cavity, mode01, detection, phas
             [flat] + specs, mode01, cavity, detection, search_window=window
         )
     assert out.cooling.n_points == 4
+
+
+def _bits(peak):
+    """Every field of a PeakFitResult as bytes: equal means bit for bit."""
+    return pickle.dumps(dataclasses.astuple(peak))
+
+
+@pytest.mark.parametrize("n_grids", [1, 2])
+def test_analyze_campaign_fits_each_spectrum_on_its_own_grid(
+    monkeypatch, cavity, mode01, detection, phase_noise, n_grids
+):
+    """analyze_campaign builds one PeakGrid per distinct grid, hands each
+    spectrum the grid of its own frequencies, and gives bit for bit the
+    peaks of analyze_peak called on each spectrum alone. With two grids,
+    the second and fourth spectra are re-synthesized at 3601 bins."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    if n_grids == 2:
+        other, _ = _campaign_spectra(
+            cavity, mode01, detection, phase_noise, n_bins=3601, seed=4
+        )
+        specs = [specs[0], other[1], specs[2], other[3]]
+    alone = [
+        fitting.analyze_peak(s, mode01, cavity, detection, window)[0] for s in specs
+    ]
+    inner = fitting.analyze_peak
+    grids = []
+
+    def recording(spectrum, *args, grid=None, **kwargs):
+        grids.append(grid)
+        return inner(spectrum, *args, grid=grid, **kwargs)
+
+    monkeypatch.setattr(fitting, "analyze_peak", recording)
+    out = fitting.analyze_campaign(specs, mode01, cavity, detection, window)
+    assert [_bits(p) for p in out.peaks] == [_bits(p) for p in alone]
+    assert len({id(g) for g in grids}) == n_grids
+    assert grids[0] is grids[2] and grids[1] is grids[3]
+    for spec, grid in zip(specs, grids):
+        assert np.array_equal(grid.w, TWO_PI * spec.frequencies)
+
+
+@pytest.mark.parametrize(
+    "f_start, f_step, n_bins, probe_hz, message",
+    [
+        (156e3, 50.0, 4000, 204e3, "grid has 4000 bins but the spectrum has 4001"),
+        (156.05e3, 50.0, 4001, 204e3, "grid's first w is"),
+        (156e3, 50.0 * (1.0 + 1e-12), 4001, 204e3, "grid's last w is"),
+        (156e3, 50.0, 4001, 200e3, "grid was built for DetectionConfig"),
+    ],
+    ids=["size", "first", "last", "detection"],
+)
+def test_analyze_peak_rejects_a_grid_of_other_bins(
+    monkeypatch, cavity, mode01, detection, phase_noise,
+    f_start, f_step, n_bins, probe_hz, message,
+):
+    """A grid that is not the spectrum's own, in bins or in detection,
+    raises one ValueError naming the mismatch before any fit, so no fit
+    ever runs on another grid's |C|^2."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    grid = spectra.PeakGrid(
+        f_start + f_step * np.arange(n_bins),
+        dataclasses.replace(detection, probe_kappa=TWO_PI * probe_hz),
+    )
+    monkeypatch.setattr(fitting, "nlls_fit", None)
+    with pytest.raises(ValueError, match=message):
+        fitting.analyze_peak(specs[0], mode01, cavity, detection, window, grid=grid)
+
+
+def test_analyze_campaign_calls_analyze_peak_once_per_spectrum(
+    monkeypatch, cavity, mode01, detection, phase_noise
+):
+    """The benchmark harness times each spectrum of a campaign by replacing
+    fitting.analyze_peak, so analyze_campaign calls it through the module,
+    once per spectrum: 12 calls for 12 spectra."""
+    specs, _, window = campaign_spectra(
+        mode01, cavity, detection, phase_noise, g0=TWO_PI * 2.1, seed=42, floor=3.5e-3
+    )
+    inner = fitting.analyze_peak
+    calls = []
+
+    def counting(spectrum, *args, **kwargs):
+        calls.append(spectrum)
+        return inner(spectrum, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "analyze_peak", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fitting.analyze_campaign(specs, mode01, cavity, detection, window)
+    assert len(specs) == 12
+    assert [id(s) for s in calls] == [id(s) for s in specs]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="counts page faults of glibc's heap trimming (Linux ru_minflt)",
+)
+def test_warm_campaign_takes_few_page_faults(cavity, mode01, detection, phase_noise):
+    """A second 12-spectrum campaign reuses the heap the first one left:
+    at most 120 minor page faults. Two separate LM buffers per fit were
+    trimmed and faulted in again, about 2,600 faults per campaign."""
+    resource = pytest.importorskip("resource")
+    specs, _, window = campaign_spectra(
+        mode01, cavity, detection, phase_noise, g0=TWO_PI * 2.1, seed=42, floor=3.5e-3
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fitting.analyze_campaign(specs, mode01, cavity, detection, window)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fitting.analyze_campaign(specs, mode01, cavity, detection, window)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 120
 
 
 @pytest.mark.slow
