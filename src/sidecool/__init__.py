@@ -57,7 +57,6 @@ from .fitting import (
     fit_cooling_curve,
     fit_peak,
     nlls_fit,
-    subtract_background,
     summarize_peaks,
 )
 from .dataio import (

@@ -279,16 +279,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _calibrated(spectrum, config):
-    if config.calibration_tone is None:
-        return spectrum
-    return dataio.calibrate_with_tone(
-        spectrum,
-        config.calibration_tone.frequency_hz,
-        config.calibration_tone.power_hz2,
-    )
-
-
 def _tone_exclusion(config):
     if config.calibration_tone is None:
         return []
@@ -299,7 +289,8 @@ def _tone_exclusion(config):
 def cmd_fit_peak(args) -> int:
     config, mode = _load_config(args)
     spectrum = dataio.read_spectrum(args.spectrum)
-    spectrum = _calibrated(spectrum, config)
+    if config.calibration_tone is not None:
+        spectrum = dataio.calibrate_with_tone(spectrum, config.calibration_tone)
     mode_f = mode.omega_m / TWO_PI
     window = tuple(args.window_hz) if args.window_hz else (mode_f - 30e3, mode_f + 30e3)
 
@@ -319,10 +310,9 @@ def cmd_fit_peak(args) -> int:
     frag.save(args.out)
 
     if args.plot_data:
-        clean = fitting.subtract_background(spectrum, background)
-        sl = clean.window_slice(*result.window)
-        f = clean.frequencies[sl]
-        data = clean.values[sl]
+        sl = spectrum.window_slice(*result.window)
+        f = spectrum.frequencies[sl]
+        data = spectrum.values[sl] - spectra.evaluate_background(background, f)
         fit_vals = spectra.peak_model(f, result.coeffs, config.detection)
         columns = (f, data, fit_vals, data - fit_vals)
         rows = zip(*(c.tolist() for c in columns))
@@ -372,14 +362,15 @@ def cmd_cooling_curve(args) -> int:
     full.save(args.out)
 
     if args.plot_data:
+        # a_eff = g^2 (2 n_eff + 1), so n_eff = a_eff / (2 g^2) - 1/2
         g_hz2 = cooling.g0_hz**2
         lines = ["gamma_eff_hz\tn_eff\tn_eff_sigma\tfit\tthermal_branch"]
         points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
         for gamma, a_eff, sigma in sorted(points):
             model = cooling.b1 / gamma + cooling.b2 * gamma
             lines.append(
-                f"{gamma / TWO_PI:.17g}\t{a_eff / (2 * g_hz2):.17g}"
-                f"\t{sigma / (2 * g_hz2):.17g}\t{model / (2 * g_hz2):.17g}"
+                f"{gamma / TWO_PI:.17g}\t{a_eff / (2 * g_hz2) - 0.5:.17g}"
+                f"\t{sigma / (2 * g_hz2):.17g}\t{model / (2 * g_hz2) - 0.5:.17g}"
                 f"\t{cooling.b1 / gamma / (2 * g_hz2):.17g}"
             )
         dataio.atomic_write_text(args.plot_data, "\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ suffixes on field names.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -107,8 +108,13 @@ def write_spectrum(spectrum: Spectrum, path: str | Path) -> None:
 
 
 def _parse_meta(raw: str):
-    if raw.startswith("'") and raw.endswith("'"):
-        return raw[1:-1]
+    """A metadata value as write_spectrum writes it: a quoted string is read
+    back from its repr, a number as int or float, anything else as text."""
+    if raw[:1] in ("'", '"') and raw[-1:] == raw[:1]:
+        try:
+            return ast.literal_eval(raw)
+        except (ValueError, SyntaxError):
+            return raw
     try:
         as_float = float(raw)
     except ValueError:
@@ -208,14 +214,18 @@ def read_spectrum(path: str | Path) -> Spectrum:
         f_start = _header_value(path, header, "f_start", float)
         f_step = _header_value(path, header, "f_step", float)
 
-    # written so that NaN fails
-    if n_averages < 1:
-        raise SpectrumFormatError(f"{path}: n_averages must be at least 1")
-    if not math.isfinite(f_start):
-        raise SpectrumFormatError(f"{path}: f_start must be finite")
-    if not 0.0 < f_step < math.inf:
-        raise SpectrumFormatError(f"{path}: f_step must be positive and finite")
-    expected = f_start + f_step * np.arange(len(linenos))
+    try:
+        spectrum = Spectrum(
+            f_start=f_start,
+            f_step=f_step,
+            values=vals,
+            units=units,
+            n_averages=n_averages,
+            metadata=metadata,
+        )
+    except ValueError as exc:
+        raise SpectrumFormatError(f"{path}: {exc}") from None
+    expected = spectrum.frequencies
     bad = np.abs(freqs - expected) > 1e-6 * f_step
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -223,15 +233,7 @@ def read_spectrum(path: str | Path) -> Spectrum:
             f"{path}:{linenos[i]}: frequency {freqs[i]!r} deviates from the "
             f"uniform grid value {expected[i]!r}"
         )
-
-    return Spectrum(
-        f_start=f_start,
-        f_step=f_step,
-        values=vals,
-        units=units,
-        n_averages=n_averages,
-        metadata=metadata,
-    )
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +243,14 @@ def read_spectrum(path: str | Path) -> Spectrum:
 TONE_HALF_WIDTH_BINS = 2  # the tone is integrated over 2 * this + 1 bins
 
 
-def calibrate_with_tone(
-    spectrum: Spectrum, tone_frequency: float, tone_power: float
-) -> Spectrum:
+def calibrate_with_tone(spectrum: Spectrum, tone: CalibrationTone) -> Spectrum:
     """Rescale a spectrum so the integrated calibration-tone peak equals the
-    known tone power (Hz^2); the result is tagged Hz^2/Hz.
+    tone's known power (Hz^2); the result is tagged Hz^2/Hz.
 
     The tone bin must stand at least 10x above the local background, which
     is estimated from neighboring bins outside the tone region.
     """
-    if tone_power <= 0:
-        raise ValueError("tone_power must be positive")
-    idx = int(round((tone_frequency - spectrum.f_start) / spectrum.f_step))
+    idx = int(round((tone.frequency_hz - spectrum.f_start) / spectrum.f_step))
     if idx < 0 or idx >= spectrum.values.size:
         raise ToneNotFoundError("tone frequency outside the spectrum grid")
     half = TONE_HALF_WIDTH_BINS
@@ -269,13 +267,13 @@ def calibrate_with_tone(
     local_bg = median(neighborhood)
     if spectrum.values[idx] < 10.0 * local_bg:
         raise ToneNotFoundError(
-            f"no tone at {tone_frequency} Hz: bin is below 10x the local background"
+            f"no tone at {tone.frequency_hz} Hz: bin is below 10x the local background"
         )
     window = spectrum.values[max(idx - half, 0) : idx + half + 1]
     integrated = float(np.sum(window - local_bg)) * spectrum.f_step
     if integrated <= 0:
         raise ToneNotFoundError("tone has non-positive integrated power")
-    scale = tone_power / integrated
+    scale = tone.power_hz2 / integrated
     return replace(
         spectrum,
         values=spectrum.values * scale,

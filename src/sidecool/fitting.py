@@ -1,5 +1,5 @@
 """Weighted nonlinear least squares and the inverse-analysis pipeline:
-background removal, peak lineshape fits, cooling-curve fit, and extraction
+background fits, peak lineshape fits, cooling-curve fit, and extraction
 of the coupling rate, minimum occupancy, and laser noise PSDs.
 
 Conventions: widths gamma_* are angular (rad/s); peak areas a_eff and the
@@ -29,7 +29,6 @@ from .spectra import (
     LineshapeCoeffs,
     PeakGrid,
     Spectrum,
-    evaluate_background,
     median,
     peak_model,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "PeakNotFoundError",
     "nlls_fit",
     "fit_background",
-    "subtract_background",
     "PeakFitResult",
     "fit_peak",
     "CoolingCurveResult",
@@ -125,7 +123,6 @@ class FitResult:
     reduced_chi2: float
     chi2: float
     n_iterations: int
-    converged: bool
 
 
 MAX_ITERATIONS = 200
@@ -293,7 +290,6 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         reduced_chi2=reduced,
         chi2=chi2,
         n_iterations=n_iter,
-        converged=converged,
     )
     if not converged:
         raise FitConvergenceError(
@@ -350,11 +346,11 @@ def _retained_mask(f: np.ndarray, exclusion_windows) -> np.ndarray:
     return keep
 
 
-def _background_models(f: np.ndarray, f_step: float):
-    """f_pivot, the tail + beat background model on the retained grid f (Hz),
-    and the bounds of its six parameters: the tail's (offset, amplitude at
-    f_pivot, exponent), then the beat note's (centre, width, amplitude). The
-    model returns its values and a filler for its rows.
+def _background_models(f: np.ndarray, f_step: float, f_pivot: float):
+    """The tail + beat background model on the grid f (Hz), and the bounds
+    of its six parameters: the tail's (offset, amplitude at f_pivot,
+    exponent), then the beat note's (centre, width, amplitude). The model
+    returns its values and a filler for its rows.
 
     The power law is pivoted at the band's geometric mean so amplitude and
     exponent decorrelate; a raw amp * f^-e parameterization puts the minimum
@@ -363,7 +359,6 @@ def _background_models(f: np.ndarray, f_step: float):
     exponent's row -amp x^-e log x needs anyway; that takes less than half
     the time of x ** -e.
     """
-    f_pivot = math.sqrt(f[0] * f[-1])
     log_x = np.log(f / f_pivot)
 
     # beat = amp lobe, lobe = h^2 / den, den = d^2 + h^2 with d = f - center
@@ -392,12 +387,12 @@ def _background_models(f: np.ndarray, f_step: float):
 
     bounds = [(0.0, None), (0.0, None), (0.1, 6.0)]
     bounds += [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), (0.0, None)]
-    return f_pivot, model, bounds
+    return model, bounds
 
 
 def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
     """The BackgroundModel of a tail amplitude given at f_pivot; beat is
-    (centre, width, amplitude), or empty for no beat note."""
+    (centre, width, amplitude)."""
     return BackgroundModel(offset, amp * f_pivot**exponent, exponent, *beat)
 
 
@@ -406,8 +401,9 @@ def _background_start(
 ):
     """The closed-form start of a background fit on the bins outside
     exclusion_windows, given the spectrum's frequencies f and per-bin
-    variance var from _level_and_variance: the mask of those bins, f_pivot,
-    and the six parameters of _background_models' full model on them.
+    variance var from _level_and_variance: the mask of those bins, the
+    band's pivot f_pivot = sqrt(f[0] f[-1]), and the six parameters of
+    _background_models' model at that pivot.
 
     The tail has exponent 2, and its offset and amplitude solve the weighted
     linear least-squares problem, clipped to their bounds. The largest bump
@@ -419,7 +415,7 @@ def _background_start(
     if keep.sum() < 50:
         raise ValueError("too few retained bins for a background fit")
     f_k, y_k, var_k = f[keep], spectrum.values[keep], var[keep]
-    f_pivot = math.sqrt(f_k[0] * f_k[-1])
+    f_pivot = math.sqrt(f[0] * f[-1])
 
     power = (f_k / f_pivot) ** -2.0
     design = np.stack([np.ones_like(f_k), power])
@@ -452,7 +448,7 @@ def fit_background(
     f = spectrum.frequencies
     var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
     keep, f_pivot, start = _background_start(spectrum, f, exclusion_windows, var)
-    _, model, bounds = _background_models(f[keep], spectrum.f_step)
+    model, bounds = _background_models(f[keep], spectrum.f_step, f_pivot)
     if start[5] == 0.0:
         bounds[5] = (0.0, 0.0)
     fit = nlls_fit(
@@ -467,31 +463,9 @@ def fit_background(
     return _pivoted(f_pivot, *fit.params)
 
 
-def subtract_background(spectrum: Spectrum, background: BackgroundModel) -> Spectrum:
-    """Bin-wise background subtraction. Negative bins are allowed (they are
-    noise) and counted in the metadata."""
-    values = spectrum.values - evaluate_background(background, spectrum.frequencies)
-    metadata = dict(spectrum.metadata, background_subtracted=True)
-    metadata["negative_bins"] = int(np.sum(values < 0))
-    return replace(spectrum, values=values, metadata=metadata)
-
-
 # ---------------------------------------------------------------------------
 # Peak fits
 # ---------------------------------------------------------------------------
-
-
-def _peak_initial_guess(
-    spectrum: Spectrum,
-    window: tuple[float, float],
-    detection: DetectionConfig,
-) -> LineshapeCoeffs:
-    """Starting point for a peak fit in a window of the spectrum; see
-    _guess_in_window."""
-    sl = spectrum.window_slice(*window)
-    return _guess_in_window(
-        spectrum.frequencies[sl], spectrum.values[sl], spectrum.f_step, detection
-    )
 
 
 def _guess_in_window(
@@ -640,7 +614,7 @@ def fit_peak(
     """
     sl = spectrum.window_slice(*window)
     f = spectrum.frequencies[sl]
-    init = _peak_initial_guess(spectrum, window, detection)
+    init = _guess_in_window(f, spectrum.values[sl], spectrum.f_step, detection)
     if window[1] - window[0] < 10.0 * init.gamma_eff / TWO_PI:
         warnings.warn("fit window narrower than 10 effective widths", stacklevel=2)
 
@@ -1020,27 +994,23 @@ def analyze_peak(
     else:
         _check_grid(grid, f, detection)
     level = _level_and_variance(spectrum.values, spectrum.n_averages)
-    _, pivot, params = _background_start(
+    _, f_pivot, params = _background_start(
         spectrum, f, [*exclusion_windows, search_window], level[1]
     )
-    start = _pivoted(pivot, *params)
     # the peak's start, from the search window of the start-subtracted values
     sl = spectrum.window_slice(*search_window)
+    start_model, _ = _background_models(f[sl], spectrum.f_step, f_pivot)
     init = _guess_in_window(
-        f[sl],
-        spectrum.values[sl] - evaluate_background(start, f[sl]),
-        spectrum.f_step,
-        detection,
+        f[sl], spectrum.values[sl] - start_model(params)[0], spectrum.f_step, detection
     )
 
     keep = _kept_bins(spectrum, f, level, init, exclusion_windows)
     f_k = f[keep]
-    f_pivot, background_model, bounds = _background_models(f_k, spectrum.f_step)
+    background_model, bounds = _background_models(f_k, spectrum.f_step, f_pivot)
 
-    # the start's offset plus the level under its peak; tail amplitude at f_pivot
+    # the start's offset plus the level under its peak
     x0 = np.concatenate([params, init.as_array()[2:]])
     x0[0] += init.a0
-    x0[1] = start.tail_amplitude * f_pivot ** (-start.tail_exponent)
     w_lo, w_hi = TWO_PI * f_k[0], TWO_PI * f_k[-1]
     bounds += [(None, None), (None, None), (w_lo, w_hi)]
     bounds.append((TWO_PI * spectrum.f_step, w_hi - w_lo))

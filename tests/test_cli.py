@@ -434,6 +434,16 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     assert not (tmp_path / "out.json").exists()
 
 
+def _fragments(tmp_path, peaks) -> list[str]:
+    """One fit-peak fragment per peak, written under tmp_path."""
+    frags = []
+    for k, peak in enumerate(peaks):
+        path = tmp_path / f"frag_{k}.json"
+        report.FitReport(peaks=[peak]).save(path)
+        frags.append(str(path))
+    return frags
+
+
 def test_cooling_curve_matches_analyze_campaign(
     tmp_path, config_path, cavity, mode01, detection, phase_noise
 ):
@@ -442,11 +452,7 @@ def test_cooling_curve_matches_analyze_campaign(
     result, _ = run_campaign(
         mode01, cavity, detection, phase_noise, g0=TWO_PI * 2.1, seed=0, floor=3.5e-3
     )
-    frags = []
-    for k, peak in enumerate(result.peaks):
-        path = tmp_path / f"frag_{k}.json"
-        report.FitReport(peaks=[peak]).save(path)
-        frags.append(str(path))
+    frags = _fragments(tmp_path, result.peaks)
     final = tmp_path / "report.json"
     assert _run(["cooling-curve", "--config", config_path, *frags, "--out", str(final)]) == 0
     rep = report.FitReport.load(final)
@@ -461,6 +467,31 @@ def test_cooling_curve_matches_analyze_campaign(
     assert rep.noise.dominant == result.noise.dominant
     assert rep.discrimination.classification == result.discrimination.classification
     assert rep.discrimination.classification == "phase-dominated"
+
+
+def test_cooling_curve_plot_gives_occupancies(
+    tmp_path, config_path, cavity, mode01, detection, phase_noise
+):
+    """a_eff = g^2 (2 n_eff + 1), so the plot's n_eff column is
+    a_eff / (2 g^2) - 1/2, and its fit column is the fitted curve's
+    occupancy, with the same half phonon taken off."""
+    result, _ = run_campaign(
+        mode01, cavity, detection, phase_noise, g0=TWO_PI * 2.1, seed=0, floor=3.5e-3
+    )
+    frags = _fragments(tmp_path, result.peaks)
+    final, plot = tmp_path / "report.json", tmp_path / "curve.tsv"
+    argv = ["cooling-curve", "--config", config_path, *frags]
+    assert _run([*argv, "--out", str(final), "--plot-data", str(plot)]) == 0
+    rep = report.FitReport.load(final)
+    c, g_hz2 = rep.cooling, rep.cooling.g0_hz**2
+    rows = np.loadtxt(plot, skiprows=1)
+    peaks = sorted(rep.peaks, key=lambda p: p.coeffs.gamma_eff)
+    assert rows.shape == (len(peaks), 5)
+    for row, peak in zip(rows, peaks):
+        gamma = peak.coeffs.gamma_eff
+        assert row[1] == pytest.approx(peak.a_eff / (2 * g_hz2) - 0.5, rel=1e-12, abs=0)
+        fitted = (c.b1 / gamma + c.b2 * gamma) / (2 * g_hz2) - 0.5
+        assert row[3] == pytest.approx(fitted, rel=1e-12, abs=0)
 
 
 def test_predict_detuning_sweep_flags_unstable(tmp_path, config_path):

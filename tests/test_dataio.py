@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ def test_spectrum_round_trip_is_exact(tmp_path):
     assert back.n_averages == original.n_averages
     assert back.metadata["gamma_opt_hz"] == 1.5e3
     assert back.metadata["label"] == "(0,1)"
+
+
+def test_string_metadata_round_trips(tmp_path):
+    """Strings are written as their repr and read back as the same strings:
+    quotes, escapes and digits included, and a string of digits stays a
+    string."""
+    metadata = {
+        "label": "it's", "note": "a\nb", "code": "12", "path": "C:\\data",
+        "quoted": 'say "hi"', "n": 12, "x": 1.5,
+    }
+    path = tmp_path / "s.csv"
+    dataio.write_spectrum(replace(_spectrum(), metadata=metadata), path)
+    back = dataio.read_spectrum(path).metadata
+    assert {k: (type(v), v) for k, v in back.items()} == {
+        k: (type(v), v) for k, v in metadata.items()
+    }
 
 
 def test_legacy_headerless_file_warns_and_tags_raw(tmp_path):
@@ -197,7 +214,7 @@ def test_calibrate_with_tone_recovers_scale():
         f_start=300e3, f_step=25.0, values=values * 7.3e4,
         units=SpectrumUnits.RAW, n_averages=200,
     )
-    cal = dataio.calibrate_with_tone(raw, tone.frequency_hz, tone.power_hz2)
+    cal = dataio.calibrate_with_tone(raw, tone)
     assert cal.units == SpectrumUnits.HZ2_PER_HZ
     assert cal.metadata["calibration_scale"] == pytest.approx(1.0 / 7.3e4, rel=1e-2)
     off_tone = np.delete(cal.values, np.arange(idx - 4, idx + 5))
@@ -207,9 +224,9 @@ def test_calibrate_with_tone_recovers_scale():
 def test_calibrate_with_tone_requires_visible_tone():
     flat = Spectrum(f_start=300e3, f_step=25.0, values=np.full(500, 1.0))
     with pytest.raises(ToneNotFoundError, match="below 10x"):
-        dataio.calibrate_with_tone(flat, 305e3, 10.0)
+        dataio.calibrate_with_tone(flat, CalibrationTone(305e3, 10.0))
     with pytest.raises(ToneNotFoundError, match="outside"):
-        dataio.calibrate_with_tone(flat, 1e6, 10.0)
+        dataio.calibrate_with_tone(flat, CalibrationTone(1e6, 10.0))
 
 
 # ---------------------------------------------------------------------------

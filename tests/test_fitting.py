@@ -69,7 +69,6 @@ def test_nlls_exact_recovery_exponential():
         initial_params=np.array([1.0, 1.0]),
         jacobian=_exponential_jacobian(x),
     ))
-    assert fit.converged
     assert fit.params == pytest.approx(true, rel=1e-8)
     assert fit.chi2 < 1e-20
 
@@ -84,7 +83,7 @@ def test_nlls_converges_when_started_at_solution():
         initial_params=np.array([3.0, 1.0]),
         jacobian=lambda p: np.column_stack([x, np.ones_like(x)]),
     ))
-    assert fit.converged and fit.n_iterations <= 2
+    assert fit.n_iterations <= 2
 
 
 @pytest.mark.parametrize(
@@ -109,7 +108,6 @@ def test_nlls_respects_bounds(bounds, pinned):
         jacobian=_exponential_jacobian(x),
         bounds=bounds,
     ))
-    assert fit.converged
     for i, bound in pinned.items():
         assert fit.params[i] == bound
 
@@ -152,7 +150,6 @@ def test_nlls_ends_at_the_constrained_minimum_on_a_bound():
     assert np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), data)[0][0] < 0
     problem, chi2s = _counting(problem)
     fit = nlls_fit(problem)
-    assert fit.converged
     assert len(chi2s) == 3
     assert fit.params[0] == 0.0
     assert fit.params[1] == pytest.approx(float(x @ data / (x @ x)), rel=1e-6)
@@ -168,7 +165,6 @@ def test_nlls_linear_model_spends_no_evaluation_on_confirming():
     x, data, problem = _line_problem([1.0, 1.0])
     problem, chi2s = _counting(problem)
     fit = nlls_fit(problem)
-    assert fit.converged
     assert fit.n_iterations == 3
     assert len(chi2s) == fit.n_iterations + 1
     assert all(a - b > fitting.REL_TOL * b for a, b in zip(chi2s, chi2s[1:]))
@@ -342,13 +338,6 @@ def test_fit_background_needs_enough_bins():
         fitting.fit_background(noisy, exclusion_windows=[(0.0, 1e9)])
 
 
-def test_subtract_background_counts_negative_bins():
-    noisy, truth = _background_spectrum()
-    clean = fitting.subtract_background(noisy, truth)
-    assert clean.metadata["negative_bins"] > 0
-    assert abs(float(np.mean(clean.values))) < 1e-3
-
-
 # ---------------------------------------------------------------------------
 # peak fitting
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ def _peak_setup(cavity, mode01, detection, phase_noise, gamma_opt_hz=3e3):
 def test_peak_initial_guess_raises_on_flat(detection):
     flat = Spectrum(f_start=1e5, f_step=10.0, values=np.full(1000, 2.0))
     with pytest.raises(PeakNotFoundError, match="no peak"):
-        fitting._peak_initial_guess(flat, (1e5, 1.09e5), detection)
+        fitting._guess_in_window(flat.frequencies, flat.values, flat.f_step, detection)
 
 
 def test_fit_peak_exact_on_noiseless_model(cavity, mode01, detection, phase_noise):
@@ -773,7 +762,9 @@ def test_background_jacobian_matches_long_form(offset, amp, exponent, center, wi
     """The tail + beat rows, with the tail power taken as exp(-e log x),
     equal the long-form rows with x ** -e, anywhere inside the background
     fit's bounds."""
-    _, model, _ = fitting._background_models(_GRID_F, 50.0)
+    model, _ = fitting._background_models(
+        _GRID_F, 50.0, math.sqrt(_GRID_F[0] * _GRID_F[-1])
+    )
     params = np.array([offset, amp, exponent, center, width, beat])
     _assert_rows_match(model(params)[1], background_jacobian_reference(_GRID_F, params))
 
@@ -788,8 +779,10 @@ def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, p
         var = fitting._level_and_variance(spec.values, spec.n_averages)[1]
         _, pivot, params = fitting._background_start(spec, spec.frequencies, [window], var)
         start = fitting._pivoted(pivot, *params)
-        want = fitting._peak_initial_guess(
-            fitting.subtract_background(spec, start), window, detection
+        clean = spec.values - spectra.evaluate_background(start, spec.frequencies)
+        sl = spec.window_slice(*window)
+        want = fitting._guess_in_window(
+            spec.frequencies[sl], clean[sl], spec.f_step, detection
         )
         fits = _recorded_fits(
             lambda: fitting.analyze_peak(spec, mode01, cavity, detection, window)
