@@ -109,7 +109,10 @@ def write_spectrum(spectrum: Spectrum, path: str | Path) -> None:
 
 def _parse_meta(raw: str):
     """A metadata value as write_spectrum writes it: a quoted string is read
-    back from its repr, a number as int or float, anything else as text."""
+    back from its repr, True, False and None as themselves, a number as int
+    or float, anything else as text."""
+    if raw in ("True", "False", "None"):
+        return ast.literal_eval(raw)
     if raw[:1] in ("'", '"') and raw[-1:] == raw[:1]:
         try:
             return ast.literal_eval(raw)

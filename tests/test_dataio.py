@@ -67,6 +67,18 @@ def test_string_metadata_round_trips(tmp_path):
     }
 
 
+def test_bool_and_none_metadata_round_trip(tmp_path):
+    """True, False and None come back as themselves, and the strings
+    'True' and 'None' stay strings."""
+    metadata = {"flag": True, "off": False, "none": None, "word": "True", "text": "None"}
+    path = tmp_path / "s.csv"
+    dataio.write_spectrum(replace(_spectrum(), metadata=metadata), path)
+    back = dataio.read_spectrum(path).metadata
+    assert {k: (type(v), v) for k, v in back.items()} == {
+        k: (type(v), v) for k, v in metadata.items()
+    }
+
+
 def test_legacy_headerless_file_warns_and_tags_raw(tmp_path):
     path = tmp_path / "legacy.dat"
     path.write_text("100.0 2.0\n110.0 3.0\n120.0 4.0\n")

@@ -156,16 +156,16 @@ def test_nlls_ends_at_the_constrained_minimum_on_a_bound():
 
 
 def test_nlls_linear_model_spends_no_evaluation_on_confirming():
-    """Started away from its solution, a linear model takes three damped
-    steps: damped by lambda = 1e-3, the first stops short of the minimum,
-    and the third leaves a predicted decrease far below REL_TOL chi^2.
-    The fit stops there without evaluating a fourth step, so it makes four
-    model evaluations (the start and one per step), and each step lowers
-    chi^2 by more than REL_TOL chi^2."""
+    """Started away from its solution, a linear model takes two damped
+    steps: damped by lambda = LAMBDA_START = 1e-5, the first stops just
+    short of the minimum, and the second leaves a predicted decrease far
+    below REL_TOL chi^2. The fit stops there without evaluating a third
+    step, so it makes three model evaluations (the start and one per step),
+    and each step lowers chi^2 by more than REL_TOL chi^2."""
     x, data, problem = _line_problem([1.0, 1.0])
     problem, chi2s = _counting(problem)
     fit = nlls_fit(problem)
-    assert fit.n_iterations == 3
+    assert fit.n_iterations == 2
     assert len(chi2s) == fit.n_iterations + 1
     assert all(a - b > fitting.REL_TOL * b for a, b in zip(chi2s, chi2s[1:]))
     reference = np.linalg.lstsq(np.column_stack([np.ones_like(x), x]), data)[0]
@@ -227,6 +227,25 @@ def test_periodogram_variance_floor_is_positive():
     values[50] = 1.0
     _, var = fitting._level_and_variance(values, n_averages=10)
     assert np.all(var > 0)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(fitting.SMOOTH_BINS, 2 * fitting.SMOOTH_BINS + 3), 100, 4001]
+)
+def test_moving_average_matches_convolved_edge_counts(n):
+    """The closed-form edge counts give the same bytes as dividing by the
+    convolution of a ones array, the long form of an edge-truncated mean."""
+    values = np.random.default_rng(n).chisquare(200, n) / 200 * 3.0
+    kernel = np.ones(fitting.SMOOTH_BINS)
+    long_form = np.convolve(values, kernel, mode="same") / np.convolve(
+        np.ones(n), kernel, mode="same"
+    )
+    assert fitting._moving_average(values).tobytes() == long_form.tobytes()
+
+
+def test_moving_average_rejects_fewer_bins_than_its_window():
+    with pytest.raises(ValueError, match="bins to smooth"):
+        fitting._moving_average(np.ones(fitting.SMOOTH_BINS - 1))
 
 
 def test_spurious_bin_mask_flags_spike_keeps_rest():
@@ -422,15 +441,19 @@ def test_analyze_peak_converges_without_background(
 
 
 def _counted_fits(run):
-    """Call run() and return (size, chi^2 of every model call) of every
-    nlls_fit call it makes, failed ones included."""
+    """Call run() and return [size, chi^2 of every model call, accepted
+    steps] of every nlls_fit call it makes, failed ones included (their
+    accepted steps stay None)."""
     inner = fitting.nlls_fit
     fits = []
 
     def counting_fit(problem):
         problem, chi2s = _counting(problem)
-        fits.append((problem.initial_params.size, chi2s))
-        return inner(problem)
+        fit = [problem.initial_params.size, chi2s, None]
+        fits.append(fit)
+        result = inner(problem)
+        fit[2] = result.n_iterations
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "nlls_fit", counting_fit)
@@ -446,32 +469,35 @@ def test_analyze_peak_makes_one_lm_fit(cavity, mode01, detection, phase_noise):
     fits = _counted_fits(
         lambda: fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
     )
-    assert [size for size, _ in fits] == [10]
-    assert sum(len(chi2s) for _, chi2s in fits) <= 5
+    assert [size for size, _, _ in fits] == [10]
+    assert sum(len(chi2s) for _, chi2s, _ in fits) <= 5
 
 
 @pytest.mark.parametrize(
-    "noise, floor, seed, max_evals",
+    "noise, floor, seed, max_evals, max_steps",
     [
-        (LaserNoise(s_phi_phi=2.2e-2 / 256e3**2), 3.5e-3, 42, 65),
-        (LaserNoise(s_eps_eps=1e-13), 1e-4, 1000, 90),
+        (LaserNoise(s_phi_phi=2.2e-2 / 256e3**2), 3.5e-3, 42, 62, 6),
+        (LaserNoise(s_eps_eps=1e-13), 1e-4, 1000, 57, 5),
     ],
     ids=["phase", "amplitude"],
 )
 def test_campaign_lm_work_stays_at_one_fit_per_spectrum(
-    cavity, mode01, detection, noise, floor, seed, max_evals
+    cavity, mode01, detection, noise, floor, seed, max_evals, max_steps
 ):
     """A 12-spectrum campaign makes 12 nlls_fit calls, all full-band fits,
-    and few model evaluations (61 phase and 85 amplitude when the bounds
-    were set; two LM fits per spectrum took 160 and 180). A counter, not a
-    timing, so a second LM stage cannot come back unnoticed."""
+    and few model evaluations: 58 phase and 53 amplitude when the bounds
+    were set, with at most 5 and 4 accepted steps per fit. Damping started
+    at 1e-3 took 61 and 85, with up to 13 steps on amplitude; two LM fits
+    per spectrum took 160 and 180. A counter, not a timing, so a second LM
+    stage or a heavier starting damping cannot come back unnoticed."""
     fits = _counted_fits(
         lambda: run_campaign(
             mode01, cavity, detection, noise, g0=TWO_PI * 2.1, seed=seed, floor=floor
         )
     )
-    assert [size for size, _ in fits] == [10] * 12
-    assert sum(len(chi2s) for _, chi2s in fits) <= max_evals
+    assert [size for size, _, _ in fits] == [10] * 12
+    assert sum(len(chi2s) for _, chi2s, _ in fits) <= max_evals
+    assert max(steps for _, _, steps in fits) <= max_steps
 
 
 def test_analyze_peak_handles_background_and_wide_peak(
