@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -341,6 +341,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.modes:
             raise ValueError("at least one mechanical mode is required")
+        if self.g0 is not None and not 0.0 < self.g0 < math.inf:  # NaN fails too
+            raise ValueError(f"g0_hz must be positive and finite, got {self.g0 / TWO_PI!r}")
 
     def mode(self, index: int = 0) -> MechMode:
         n = len(self.modes)
@@ -352,124 +354,158 @@ class ExperimentConfig:
         return self.modes[index]
 
 
-def _cavity_to_dict(cavity: CavitySpec) -> dict:
-    out = {
-        "kappa_hz": cavity.kappa / TWO_PI,
-        "detuning_hz": cavity.detuning / TWO_PI,
-    }
-    if cavity.cavity_length is not None:
-        out["length_m"] = cavity.cavity_length
-    if cavity.laser_frequency is not None:
-        out["laser_frequency_hz"] = cavity.laser_frequency
-    if cavity.input_transmission_ppm is not None:
-        out["input_transmission_ppm"] = cavity.input_transmission_ppm
-    return out
+# ---------------------------------------------------------------------------
+# JSON records
+# ---------------------------------------------------------------------------
+#
+# A record is a dataclass stored as a JSON object. Its table has one
+# (attribute, JSON key, codec) row per field, in the document's key order. A
+# codec is a (write, read) pair: write turns the attribute into a JSON value,
+# and read turns the JSON value back, raising TypeError for one of the wrong
+# type. A row whose write is None is read only.
 
 
-def _cavity_from_dict(d: dict) -> CavitySpec:
-    return CavitySpec(
-        kappa=TWO_PI * d["kappa_hz"],
-        detuning=TWO_PI * d["detuning_hz"],
-        cavity_length=d.get("length_m"),
-        laser_frequency=d.get("laser_frequency_hz"),
-        input_transmission_ppm=d.get("input_transmission_ppm"),
-    )
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "cavity": _cavity_to_dict(config.cavity),
-        "modes": [
-            {
-                "frequency_hz": m.omega_m / TWO_PI,
-                "q_factor": m.q_factor,
-                "temperature_k": m.temperature,
-                "label": m.label,
-            }
-            for m in config.modes
-        ],
-        "detection": {
-            "probe_kappa_hz": config.detection.probe_kappa / TWO_PI,
-            "theta_lo_rad": config.detection.theta_lo,
-            "probe_detuning_hz": config.detection.probe_detuning / TWO_PI,
-        },
-    }
-    if config.noise is not None:
-        out["noise"] = {
-            "s_phi_phi_rad2_per_hz": config.noise.s_phi_phi,
-            "s_eps_eps_per_hz": config.noise.s_eps_eps,
+def _list_of(n: int, test=_is_number):
+    """A test for a list of n values that each pass test."""
+    return lambda v: isinstance(v, list) and len(v) == n and all(map(test, v))
+
+
+def _checked(kind: str, test) -> tuple:
+    """A codec that stores a value as is and reads only one that passes test."""
+
+    def read(value):
+        if not test(value):
+            raise TypeError(f"must be {kind}, got {value!r}")
+        return value
+
+    return (lambda value: value), read
+
+
+AS_IS = _checked("anything", lambda v: True)
+NUMBER = _checked("a number", _is_number)
+NUMBER_OR_NULL = _checked("a number or null", lambda v: v is None or _is_number(v))
+COUNT = _checked("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_LIST = _checked("a list", lambda v: isinstance(v, list))
+_PAIR = _checked("a pair of numbers", _list_of(2))
+PAIR = (list, lambda v: tuple(_PAIR[1](v)))  # a (lo, hi) tuple
+# an angular rate, held in rad/s and stored in Hz: a value x comes back as
+# TWO_PI * (x / TWO_PI), within one ulp of x
+HZ = (lambda v: v / TWO_PI, lambda v: TWO_PI * NUMBER[1](v))
+# a float that is NaN when undefined, stored as null
+NAN_AS_NULL = (
+    lambda v: None if math.isnan(v) else v,
+    lambda v: math.nan if v is None else NUMBER[1](v),
+)
+
+
+def matrix(n: int) -> tuple:
+    """The codec of an n x n float array, stored as a list of rows."""
+    read = _checked(f"{n}x{n} numbers", _list_of(n, _list_of(n)))[1]
+    return (lambda m: np.asarray(m).tolist()), lambda v: np.array(read(v), dtype=float)
+
+
+def listed(codec: tuple) -> tuple:
+    """The codec of a list of the values that codec stores."""
+    write, read = codec
+    return (lambda values: [write(v) for v in values]), lambda v: [read(x) for x in _LIST[1](v)]
+
+
+def record(cls: type, table: tuple, strict: bool = False) -> tuple:
+    """The codec of a cls stored under table. write leaves out read-only
+    rows, and fields whose default is None while they are None. read gives
+    a key that the object lacks its field's default; a field without one,
+    or a value of the wrong type, raises ValueError naming the key. Keys
+    that no row names are ignored, or with strict raise TypeError."""
+    optional = {f.name for f in fields(cls) if f.default is None}
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    names = {key for _, key, _ in table}
+
+    def write(obj) -> dict:
+        return {
+            key: to_json(getattr(obj, attr))
+            for attr, key, (to_json, _) in table
+            if to_json is not None and not (attr in optional and getattr(obj, attr) is None)
         }
-    if config.calibration_tone is not None:
-        out["calibration_tone"] = {
-            "frequency_hz": config.calibration_tone.frequency_hz,
-            "power_hz2": config.calibration_tone.power_hz2,
-        }
-    if config.g0 is not None:
-        out["g0_hz"] = config.g0 / TWO_PI
-    return out
+
+    def read(d):
+        if not isinstance(d, dict):
+            raise TypeError(f"must be an object, got {d!r}")
+        if strict and not names.issuperset(d):
+            raise TypeError(f"has unknown key {next(k for k in d if k not in names)!r}")
+        values = {}
+        for attr, key, (_, from_json) in table:
+            if key in d:
+                try:
+                    values[attr] = from_json(d[key])
+                except TypeError as exc:
+                    raise ValueError(f"{key} {exc}") from None
+            elif attr in required:
+                raise ValueError(f"missing key {key!r}")
+        return cls(**values)
+
+    return write, read
+
+
+_CAVITY = (
+    ("kappa", "kappa_hz", HZ),
+    ("detuning", "detuning_hz", HZ),
+    ("cavity_length", "length_m", NUMBER),
+    ("laser_frequency", "laser_frequency_hz", NUMBER),
+    ("input_transmission_ppm", "input_transmission_ppm", NUMBER),
+)
+_MODE = (
+    ("omega_m", "frequency_hz", HZ),
+    ("gamma_m", "gamma_hz", (None, HZ[1])),
+    ("q_factor", "q_factor", NUMBER),
+    ("temperature", "temperature_k", NUMBER),
+    ("label", "label", AS_IS),
+)
+_DETECTION = (
+    ("probe_kappa", "probe_kappa_hz", HZ),
+    ("theta_lo", "theta_lo_rad", NUMBER),
+    ("probe_detuning", "probe_detuning_hz", HZ),
+)
+_NOISE = (
+    ("s_phi_phi", "s_phi_phi_rad2_per_hz", NUMBER),
+    ("s_eps_eps", "s_eps_eps_per_hz", NUMBER),
+)
+_TONE = (("frequency_hz", "frequency_hz", NUMBER), ("power_hz2", "power_hz2", NUMBER))
+_CONFIG = (
+    ("cavity", "cavity", record(CavitySpec, _CAVITY, strict=True)),
+    ("modes", "modes", listed(record(MechMode, _MODE, strict=True))),
+    ("detection", "detection", record(DetectionConfig, _DETECTION, strict=True)),
+    ("noise", "noise", record(LaserNoise, _NOISE, strict=True)),
+    ("calibration_tone", "calibration_tone", record(CalibrationTone, _TONE, strict=True)),
+    ("g0", "g0_hz", HZ),
+)
+config_to_dict, _read_config = record(ExperimentConfig, _CONFIG, strict=True)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    for key in ("cavity", "modes", "detection"):
-        if key not in d:
-            raise ValueError(f"config missing required section {key!r}")
-    cavity = _cavity_from_dict(d["cavity"])
-    modes = [
-        MechMode(
-            omega_m=TWO_PI * m["frequency_hz"],
-            q_factor=m.get("q_factor"),
-            gamma_m=(TWO_PI * m["gamma_hz"]) if "gamma_hz" in m else None,
-            temperature=m.get("temperature_k", 300.0),
-            label=m.get("label", ""),
-        )
-        for m in d["modes"]
-    ]
-    det = d["detection"]
-    detection = DetectionConfig(
-        probe_kappa=TWO_PI * det.get("probe_kappa_hz", d["cavity"]["kappa_hz"]),
-        theta_lo=det.get("theta_lo_rad", math.pi / 2.0),
-        probe_detuning=TWO_PI * det.get("probe_detuning_hz", 0.0),
-    )
-    noise = None
-    if "noise" in d:
-        noise = LaserNoise(
-            s_phi_phi=d["noise"].get("s_phi_phi_rad2_per_hz", 0.0),
-            s_eps_eps=d["noise"].get("s_eps_eps_per_hz", 0.0),
-        )
-    tone = None
-    if "calibration_tone" in d:
-        tone = CalibrationTone(
-            frequency_hz=d["calibration_tone"]["frequency_hz"],
-            power_hz2=d["calibration_tone"]["power_hz2"],
-        )
-    g0_hz = d.get("g0_hz")
-    if g0_hz is not None and not 0.0 < g0_hz < math.inf:  # NaN fails too
-        raise ValueError(f"g0_hz must be positive and finite, got {g0_hz!r}")
-    g0 = None if g0_hz is None else TWO_PI * g0_hz
-    return ExperimentConfig(
-        cavity=cavity,
-        modes=modes,
-        detection=detection,
-        noise=noise,
-        calibration_tone=tone,
-        g0=g0,
-    )
+    """The config that the JSON object d describes; a key that no row of its
+    section declares is an error. A detection section without
+    probe_kappa_hz takes the cavity's kappa_hz."""
+    try:
+        d = dict(d, detection={"probe_kappa_hz": d["cavity"]["kappa_hz"], **d["detection"]})
+    except (KeyError, TypeError):
+        pass  # _read_config names the section that is missing or not an object
+    return _read_config(d)
 
 
 def load_json(path: str | Path, build: Callable[[dict], _T]) -> _T:
-    """build() applied to the JSON document at path. Malformed JSON, a
-    missing key and a value of the wrong type raise one ValueError that
-    names the file (and the key), as does a ValueError that build() raises."""
+    """build() applied to the JSON document at path. Malformed JSON, and a
+    TypeError or ValueError that build() raises, raise one ValueError that
+    names the file."""
     with open(path) as fh:
         try:
             return build(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"{path}: unexpected value type: {exc}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -280,7 +280,64 @@ _BAD_CONFIG_VALUES = {
         ("calibration_tone", "frequency_hz"), math.nan, ["tone frequency_hz", "got nan"]
     ),
     "config-nan-length": (("cavity", "length_m"), math.nan, ["cavity_length", "got nan"]),
+    "config-unknown-mode-key": (
+        ("modes", 0, "temperatur_k"), 300.0, ["modes has unknown key 'temperatur_k'"]
+    ),
+    "config-unknown-key": (("g0_hz_",), 2.1, ["has unknown key 'g0_hz_'"]),
+    "config-string-temperature": (
+        ("modes", 0, "temperature_k"), "300", ["temperature_k must be a number", "'300'"]
+    ),
+    "config-section-not-object": (("detection",), [], ["detection must be an object"]),
 }
+
+
+def _cooling_record(covariance) -> dict:
+    """A cooling_curve section, as a report stores it, with the given covariance."""
+    cooling = fitting.CoolingCurveResult(
+        b1=1.0, b2=1.0, covariance=np.asarray(covariance), reduced_chi2=1.0, g0=1.0,
+        g0_sigma=0.1, n_min=1.0, n_min_sigma=0.1, gamma_min=1.0, gamma_min_sigma=0.1,
+        n_points=3,
+    )
+    return report.FitReport(cooling=cooling).to_dict()["cooling_curve"]
+
+
+# case -> (where the bad value goes in the first of three fragments, the
+# value, and the text the error line shows for the field and the value)
+_BAD_FRAGMENT_VALUES = {
+    "fragment-list-a-eff": (
+        ("peaks", 0, "a_eff_hz2"), [1.0], ["a_eff_hz2 must be a number", "[1.0]"]
+    ),
+    "fragment-null-a-eff": (("peaks", 0, "a_eff_hz2"), None, ["a_eff_hz2 must be a number"]),
+    "fragment-list-a-eff-sigma": (
+        ("peaks", 0, "a_eff_sigma_hz2"), [1.0], ["a_eff_sigma_hz2 must be a number"]
+    ),
+    "fragment-null-a-eff-sigma": (
+        ("peaks", 0, "a_eff_sigma_hz2"), None, ["a_eff_sigma_hz2 must be a number"]
+    ),
+    "fragment-null-a3": (("peaks", 0, "coeffs", "a3_hz2"), None, ["a3_hz2 must be a number"]),
+    "fragment-bool-a3": (("peaks", 0, "coeffs", "a3_hz2"), True, ["a3_hz2 must be a number"]),
+    "fragment-string-theta": (("peaks", 0, "theta_rad"), "0.5", ["theta_rad must be a number"]),
+    "fragment-one-entry-window": (
+        ("peaks", 0, "window_hz"), [226e3], ["window_hz must be a pair of numbers"]
+    ),
+    "fragment-float-count": (("peaks", 0, "n_points"), 1200.0, ["n_points must be an integer"]),
+    "fragment-3x3-cooling-covariance": (
+        ("cooling_curve",), _cooling_record(np.eye(3)), ["covariance must be 2x2"]
+    ),
+    "fragment-text-cooling-covariance": (
+        ("cooling_curve",), _cooling_record([["1", "0"], ["0", "1"]]), ["covariance must be 2x2"]
+    ),
+}
+
+
+def _set(doc, where, value):
+    """doc with value put at the path where, a tuple of keys and indices."""
+    *keys, last = where
+    section = doc
+    for key in keys:
+        section = section[key]
+    section[last] = value
+    return doc
 
 
 # case -> (predict's sweep options, and the texts its error line shows: the
@@ -321,12 +378,8 @@ def _bad_input_argv(case, tmp_path, config_path):
     """argv for one malformed input; every case writes to tmp_path/out.json."""
     out = ["--out", str(tmp_path / "out.json")]
     if case in _BAD_CONFIG_VALUES:
-        (*keys, last), value, _ = _BAD_CONFIG_VALUES[case]
-        doc = json.loads(Path(config_path).read_text())
-        section = doc
-        for key in keys:
-            section = section[key]
-        section[last] = value
+        where, value, _ = _BAD_CONFIG_VALUES[case]
+        doc = _set(json.loads(Path(config_path).read_text()), where, value)
         path = tmp_path / "bad_config.json"
         path.write_text(json.dumps(doc))
         return ["predict", "--config", str(path),
@@ -364,12 +417,17 @@ def _bad_input_argv(case, tmp_path, config_path):
         path = tmp_path / "frag.json"
         path.write_text(json.dumps(doc))
         return ["cooling-curve", "--config", config_path, *[str(path)] * 3, *out]
-    if case in ("fragment-nan-sigma", "fragment-nan-a3", "fragment-nan-a3-sigma"):
+    if case in _BAD_FRAGMENT_VALUES or case in (
+        "fragment-nan-sigma", "fragment-nan-a3", "fragment-nan-a3-sigma"
+    ):
         paths = []
         for k, gamma in enumerate(TWO_PI * np.geomspace(1e3, 10e3, 3)):
             peak = peak_record(gamma, 1e3 / gamma + gamma)
             doc = report.FitReport(peaks=[peak]).to_dict()
-            if k == 0 and case == "fragment-nan-sigma":
+            if k == 0 and case in _BAD_FRAGMENT_VALUES:
+                where, value, _ = _BAD_FRAGMENT_VALUES[case]
+                _set(doc, where, value)
+            elif k == 0 and case == "fragment-nan-sigma":
                 doc["peaks"][0]["a_eff_sigma_hz2"] = math.nan
             elif k == 0 and case == "fragment-nan-a3":
                 doc["peaks"][0]["coeffs"]["a3_hz2"] = math.nan
@@ -406,6 +464,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         "config-missing-key",
         "missing-config",
         *_BAD_CONFIG_VALUES,
+        *_BAD_FRAGMENT_VALUES,
         *_BAD_PREDICT_OPTIONS,
     ],
 )
@@ -427,6 +486,8 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     }
     for bad, (_, _, texts) in _BAD_CONFIG_VALUES.items():
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]
+    for bad, (_, _, texts) in _BAD_FRAGMENT_VALUES.items():
+        named[bad] = [str(tmp_path / "frag_0.json"), *texts]
     for bad, (_, texts) in _BAD_PREDICT_OPTIONS.items():
         named[bad] = texts
     for text in named.get(case, []):

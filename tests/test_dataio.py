@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,9 +316,28 @@ def test_config_optional_fields_default(tmp_path, cavity, mode01, mode02, detect
     d = dataio.config_to_dict(cfg)
     for key in ("noise", "calibration_tone", "g0_hz"):
         d.pop(key, None)
+    d["detection"] = {}
+    for key in ("temperature_k", "label"):
+        del d["modes"][0][key]
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps(d))
     back = dataio.load_config(path)
     assert back.noise is None or back.noise.is_zero
     assert back.calibration_tone is None
     assert back.g0 is None
+    # the dataclass defaults, and the cavity's linewidth for the probe's
+    assert back.detection == DetectionConfig(probe_kappa=back.cavity.kappa)
+    assert (back.mode(0).temperature, back.mode(0).label) == (300.0, "")
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The example under README's "Config schema" loads, so it uses only
+    declared keys, and holds the values it shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    schema = readme.split("### Config schema", 1)[1]
+    path = tmp_path / "config.json"
+    path.write_text(schema.split("```json\n", 1)[1].split("```", 1)[0])
+    config = dataio.load_config(path)
+    assert config.cavity.kappa == TWO_PI * 204e3
+    assert config.mode(0).q_factor == 1.18e7
+    assert config.g0 == TWO_PI * 2.1
