@@ -4,9 +4,9 @@ cooling of a membrane inside a cavity.
 Submodules:
     physics  -- susceptibilities, damping/occupancy budget, cooling limits
     spectra  -- displacement-spectrum model, detection filter, synthesis
-    fitting  -- background/peak/cooling-curve fits, noise discrimination
     dataio   -- spectrum files, calibration tone, config, unit conversions
-    report   -- JSON fit reports
+    report   -- the campaign's result records and their JSON fit report
+    fitting  -- background/peak/cooling-curve fits, noise discrimination
 """
 
 from .physics import (
@@ -42,12 +42,7 @@ from .spectra import (
     synthesize_measured_spectrum,
 )
 from .fitting import (
-    CampaignResult,
-    CoolingCurveResult,
     FitConvergenceError,
-    NoiseDiscrimination,
-    NoiseExtraction,
-    PeakFitResult,
     PeakNotFoundError,
     analyze_campaign,
     analyze_peak,
@@ -67,6 +62,14 @@ from .dataio import (
     save_config,
     write_spectrum,
 )
-from .report import FitReport, TOOL_VERSION, effective_temperature
+from .report import (
+    CoolingCurveResult,
+    FitReport,
+    NoiseDiscrimination,
+    NoiseExtraction,
+    PeakFitResult,
+    TOOL_VERSION,
+    effective_temperature,
+)
 
 __version__ = TOOL_VERSION

@@ -344,22 +344,10 @@ def cmd_cooling_curve(args) -> int:
             return _fail(f"{frag_path}: no peak record")
         peaks.extend(frag.peaks)
 
-    campaign = fitting.summarize_peaks(peaks, mode, config.cavity)
-    cooling = campaign.cooling
-
-    full = report.FitReport(
-        peaks=peaks,
-        cooling=cooling,
-        discrimination=campaign.discrimination,
-        noise=campaign.noise,
-        t_eff_k=report.effective_temperature(cooling.n_min, mode.omega_m),
-        q_eff=mode.omega_m / cooling.gamma_min,
-        provenance={
-            "config": str(args.config),
-            "fragments": [str(p) for p in args.fragments],
-        },
-    )
+    full = fitting.summarize_peaks(peaks, mode, config.cavity)
+    full.provenance = {"config": args.config, "fragments": args.fragments}
     full.save(args.out)
+    cooling = full.cooling
 
     if args.plot_data:
         # a_eff = g^2 (2 n_eff + 1), so n_eff = a_eff / (2 g^2) - 1/2
@@ -378,7 +366,7 @@ def cmd_cooling_curve(args) -> int:
     _log(
         f"g0/2pi = {cooling.g0_hz:.3g} Hz, n_min = {cooling.n_min:.3g} "
         f"+- {cooling.n_min_sigma:.2g}, gamma_min/2pi = {cooling.gamma_min_hz:.4g} Hz, "
-        f"noise: {campaign.discrimination.classification}"
+        f"noise: {full.discrimination.classification}"
     )
     return 0
 

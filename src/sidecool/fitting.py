@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +23,14 @@ from .physics import (
     amplitude_factor,
     sideband_angle,
     thermal_occupation,
+)
+from .report import (
+    CoolingCurveResult,
+    FitReport,
+    NoiseDiscrimination,
+    NoiseExtraction,
+    PeakFitResult,
+    effective_temperature,
 )
 from .spectra import (
     BackgroundModel,
@@ -41,15 +50,10 @@ __all__ = [
     "PeakNotFoundError",
     "nlls_fit",
     "fit_background",
-    "PeakFitResult",
     "fit_peak",
-    "CoolingCurveResult",
     "fit_cooling_curve",
-    "NoiseDiscrimination",
     "discriminate_noise",
-    "NoiseExtraction",
     "extract_noise_psd",
-    "CampaignResult",
     "summarize_peaks",
     "analyze_peak",
     "analyze_campaign",
@@ -522,32 +526,6 @@ def _guess_in_window(
     return replace(unit, a0=a0, a2=a2)
 
 
-@dataclass
-class PeakFitResult:
-    """Joint Lorentzian+dispersive peak fit and the effective area
-    a_eff = a2 + a3/tan(theta). lorentzian_preferred flags a dispersive
-    weight a3 within one sigma of zero."""
-
-    coeffs: LineshapeCoeffs
-    covariance: np.ndarray
-    reduced_chi2: float
-    a_eff: float
-    a_eff_sigma: float
-    lorentzian_preferred: bool
-    theta: float
-    window: tuple[float, float]
-    n_points: int
-    n_excluded: int
-
-    @property
-    def a3(self) -> float:
-        return self.coeffs.a3
-
-    @property
-    def a3_sigma(self) -> float:
-        return math.sqrt(max(self.covariance[3, 3], 0.0))
-
-
 def _effective_area(
     a2: float, a3: float, theta: float, covariance: np.ndarray
 ) -> tuple[float, float]:
@@ -675,32 +653,6 @@ def fit_peak(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoolingCurveResult:
-    """Fit of a_eff = b1/Gamma + b2 Gamma and the physics derived from it."""
-
-    b1: float
-    b2: float
-    covariance: np.ndarray
-    reduced_chi2: float
-    g0: float  # rad/s
-    g0_sigma: float
-    n_min: float
-    n_min_sigma: float
-    gamma_min: float  # rad/s
-    gamma_min_sigma: float
-    n_points: int
-    annotations: list = field(default_factory=list)
-
-    @property
-    def g0_hz(self) -> float:
-        return self.g0 / TWO_PI
-
-    @property
-    def gamma_min_hz(self) -> float:
-        return self.gamma_min / TWO_PI
-
-
 def fit_cooling_curve(
     points: Sequence[tuple[float, float, float]],
     mode: MechMode,
@@ -718,8 +670,8 @@ def fit_cooling_curve(
     areas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
     # written so that NaN fails; an infinite sigma is a zero-weight point
-    if not np.all(gammas > 0):
-        raise ValueError("all gamma_eff must be positive")
+    if not np.all((gammas > 0) & (gammas < np.inf)):
+        raise ValueError("all gamma_eff must be positive and finite")
     if not np.all(np.isfinite(areas)):
         raise ValueError("all a_eff must be finite")
     if not np.all(sigmas > 0):
@@ -750,7 +702,7 @@ def fit_cooling_curve(
         cov = cov * reduced
 
     b1, b2 = float(b[0]), float(b[1])
-    if b1 <= 0 or b2 <= 0:
+    if not (b1 > 0 and b2 > 0):  # written so that NaN fails
         raise ValueError(
             f"dataset inconsistent with model: fitted b1 = {b1:.4g}, b2 = {b2:.4g}"
         )
@@ -786,17 +738,6 @@ def fit_cooling_curve(
     )
 
 
-@dataclass
-class NoiseDiscrimination:
-    """Outcome of the phase-vs-amplitude noise attribution."""
-
-    classification: str  # phase-dominated | amplitude-dominated | mixed | indeterminate
-    ratio: float | None  # b2 gamma_eff / a3
-    ratio_sigma: float | None
-    expected_phase_ratio: float | None  # 1 / sin(2 theta)
-    amplitude_fraction: float
-
-
 def discriminate_noise(
     b2: float,
     b2_sigma: float,
@@ -812,16 +753,17 @@ def discriminate_noise(
     noise. Near sin(2 theta) = 0 the dispersive weight carries no
     information and the outcome is indeterminate.
     """
+    verdict = partial(NoiseDiscrimination, a3_slope=a3_slope, a3_slope_sigma=a3_slope_sigma)
     sin2t = math.sin(2.0 * theta)
     if abs(sin2t) < 0.05:
-        return NoiseDiscrimination("indeterminate", None, None, None, float("nan"))
+        return verdict("indeterminate", None, None, None, float("nan"))
     expected = 1.0 / sin2t
 
     if abs(a3_slope) < 2.0 * a3_slope_sigma:
         # no resolvable dispersive component
         if b2 > 2.0 * b2_sigma:
-            return NoiseDiscrimination("amplitude-dominated", None, None, expected, 1.0)
-        return NoiseDiscrimination("indeterminate", None, None, expected, float("nan"))
+            return verdict("amplitude-dominated", None, None, expected, 1.0)
+        return verdict("indeterminate", None, None, expected, float("nan"))
 
     ratio = b2 / a3_slope
     ratio_sigma = abs(ratio) * math.sqrt(
@@ -833,25 +775,10 @@ def discriminate_noise(
     # 3 sigma: b2 and the a3 slope come from correlated fits, so the
     # propagated excess_sigma is optimistic and a 2 sigma cut misfires
     if excess <= 3.0 * excess_sigma:
-        return NoiseDiscrimination("phase-dominated", ratio, ratio_sigma, expected, 0.0)
+        return verdict("phase-dominated", ratio, ratio_sigma, expected, 0.0)
     fraction = excess / b2
     label = "amplitude-dominated" if fraction > 0.5 else "mixed"
-    return NoiseDiscrimination(label, ratio, ratio_sigma, expected, fraction)
-
-
-@dataclass
-class NoiseExtraction:
-    """Laser-noise PSDs inverted from the cooling-curve minimum."""
-
-    s_phi_phi: float
-    s_phi_phi_sigma: float
-    s_phi_phi_is_limit: bool
-    s_eps_eps: float
-    s_eps_eps_sigma: float
-    s_eps_eps_is_limit: bool
-    s_nu_nu: float
-    s_nu_nu_sigma: float
-    dominant: str | None
+    return verdict(label, ratio, ratio_sigma, expected, fraction)
 
 
 def extract_noise_psd(
@@ -905,16 +832,6 @@ def extract_noise_psd(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CampaignResult:
-    peaks: list
-    cooling: CoolingCurveResult
-    discrimination: NoiseDiscrimination
-    noise: NoiseExtraction
-    a3_slope: float
-    a3_slope_sigma: float
-
-
 def _a3_slope(peaks: Sequence[PeakFitResult]) -> tuple[float, float]:
     """Weighted through-origin fit of the dispersive weight vs gamma_eff."""
     g = np.array([p.coeffs.gamma_eff for p in peaks])
@@ -937,27 +854,35 @@ def summarize_peaks(
     peaks: Sequence[PeakFitResult],
     mode: MechMode,
     cavity: CavitySpec,
-) -> CampaignResult:
-    """Turn a set of peak fits into the campaign's physics.
+) -> FitReport:
+    """Turn a set of peak fits into the report of the campaign's physics,
+    with empty provenance.
 
     Fits the cooling curve to (gamma_eff, a_eff) and the dispersive weight a3
     to gamma_eff, attributes the excess heating to phase or amplitude noise,
-    and inverts the cooling-curve minimum for the laser-noise PSDs.
+    inverts the cooling-curve minimum for the laser-noise PSDs, and gives
+    T_eff at n_min and Q_eff = Omega_m / Gamma_min. A peak fitted at another
+    sideband angle (more than 1e-9 rad away, a margin for the Hz round trip
+    of a loaded config) raises ValueError.
     """
+    theta = sideband_angle(cavity, mode.omega_m)
+    for i, p in enumerate(peaks):
+        if not abs(p.theta - theta) <= 1e-9:  # written so that NaN fails
+            raise ValueError(
+                f"peak {i} has sideband angle {p.theta!r} rad, not the mode's {theta!r}"
+            )
     points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
     cooling = fit_cooling_curve(points, mode)
     slope, slope_sigma = _a3_slope(peaks)
-    theta = sideband_angle(cavity, mode.omega_m)
     b2_sigma = math.sqrt(max(cooling.covariance[1, 1], 0.0))
     disc = discriminate_noise(cooling.b2, b2_sigma, slope, slope_sigma, theta)
-    noise = extract_noise_psd(cooling, mode, cavity, disc.classification)
-    return CampaignResult(
+    return FitReport(
         peaks=list(peaks),
         cooling=cooling,
         discrimination=disc,
-        noise=noise,
-        a3_slope=slope,
-        a3_slope_sigma=slope_sigma,
+        noise=extract_noise_psd(cooling, mode, cavity, disc.classification),
+        t_eff_k=effective_temperature(cooling.n_min, mode.omega_m),
+        q_eff=mode.omega_m / cooling.gamma_min,
     )
 
 
@@ -1068,7 +993,7 @@ def analyze_campaign(
     detection: DetectionConfig,
     search_window: tuple[float, float],
     exclusion_windows: Sequence[tuple[float, float]] = (),
-) -> CampaignResult:
+) -> FitReport:
     """Run the full inverse pipeline over a set of cooling-power spectra.
 
     A spectrum whose peak cannot be fitted is skipped with a warning; the

@@ -1,11 +1,15 @@
-"""Fit-report persistence: the complete outcome of an analysis campaign as a
-JSON document with unit-suffixed field names."""
+"""The records of an analysis campaign, each next to the table of its JSON
+fields, and the fit report that holds them: the complete outcome of a
+campaign as a JSON document with unit-suffixed field names."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .dataio import (
     AS_IS,
@@ -21,18 +25,15 @@ from .dataio import (
     matrix,
     record,
 )
-from .fitting import (
-    CoolingCurveResult,
-    NoiseDiscrimination,
-    NoiseExtraction,
-    PeakFitResult,
-)
 from .physics import hbar, k_B
 from .spectra import LineshapeCoeffs
 
-__all__ = ["FitReport", "TOOL_VERSION", "effective_temperature"]
+__all__ = [
+    "PeakFitResult", "CoolingCurveResult", "NoiseDiscrimination", "NoiseExtraction",
+    "FitReport", "TOOL_VERSION", "effective_temperature",
+]
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 
 def effective_temperature(n_eff: float, omega_m: float) -> float:
@@ -48,6 +49,34 @@ _COEFFS = (
     ("omega_eff", "omega_eff_hz", HZ),
     ("gamma_eff", "gamma_eff_hz", HZ),
 )
+
+
+@dataclass
+class PeakFitResult:
+    """Joint Lorentzian+dispersive peak fit and the effective area
+    a_eff = a2 + a3/tan(theta). lorentzian_preferred flags a dispersive
+    weight a3 within one sigma of zero."""
+
+    coeffs: LineshapeCoeffs
+    covariance: np.ndarray
+    reduced_chi2: float
+    a_eff: float
+    a_eff_sigma: float
+    lorentzian_preferred: bool
+    theta: float
+    window: tuple[float, float]
+    n_points: int
+    n_excluded: int
+
+    @property
+    def a3(self) -> float:
+        return self.coeffs.a3
+
+    @property
+    def a3_sigma(self) -> float:
+        return math.sqrt(max(self.covariance[3, 3], 0.0))
+
+
 _PEAK = (
     ("coeffs", "coeffs", record(LineshapeCoeffs, _COEFFS)),
     ("covariance", "covariance", matrix(6)),
@@ -60,6 +89,34 @@ _PEAK = (
     ("n_points", "n_points", COUNT),
     ("n_excluded", "n_excluded", COUNT),
 )
+
+
+@dataclass
+class CoolingCurveResult:
+    """Fit of a_eff = b1/Gamma + b2 Gamma and the physics derived from it."""
+
+    b1: float
+    b2: float
+    covariance: np.ndarray
+    reduced_chi2: float
+    g0: float  # rad/s
+    g0_sigma: float
+    n_min: float
+    n_min_sigma: float
+    gamma_min: float  # rad/s
+    gamma_min_sigma: float
+    n_points: int
+    annotations: list = field(default_factory=list)
+
+    @property
+    def g0_hz(self) -> float:
+        return self.g0 / math.tau
+
+    @property
+    def gamma_min_hz(self) -> float:
+        return self.gamma_min / math.tau
+
+
 _COOLING = (
     ("b1", "b1_hz2_rad_per_s", NUMBER),
     ("b2", "b2_hz2_s_per_rad", NUMBER),
@@ -74,13 +131,47 @@ _COOLING = (
     ("n_points", "n_points", COUNT),
     ("annotations", "annotations", AS_IS),
 )
+
+
+@dataclass
+class NoiseDiscrimination:
+    """Outcome of the phase-vs-amplitude noise attribution."""
+
+    classification: str  # phase-dominated | amplitude-dominated | mixed | indeterminate
+    ratio: float | None  # b2 gamma_eff / a3
+    ratio_sigma: float | None
+    expected_phase_ratio: float | None  # 1 / sin(2 theta)
+    amplitude_fraction: float
+    a3_slope: float | None = None  # of a3 vs gamma_eff, Hz^2 s/rad; None before 0.4.0
+    a3_slope_sigma: float | None = None
+
+
 _DISCRIMINATION = (
     ("classification", "classification", AS_IS),
     ("ratio", "ratio", NUMBER_OR_NULL),
     ("ratio_sigma", "ratio_sigma", NUMBER_OR_NULL),
     ("expected_phase_ratio", "expected_phase_ratio", NUMBER_OR_NULL),
     ("amplitude_fraction", "amplitude_fraction", NAN_AS_NULL),
+    ("a3_slope", "a3_slope_hz2_s_per_rad", NUMBER),
+    ("a3_slope_sigma", "a3_slope_sigma_hz2_s_per_rad", NUMBER),
 )
+
+
+@dataclass
+class NoiseExtraction:
+    """Laser-noise PSDs inverted from the cooling-curve minimum."""
+
+    s_phi_phi: float
+    s_phi_phi_sigma: float
+    s_phi_phi_is_limit: bool
+    s_eps_eps: float
+    s_eps_eps_sigma: float
+    s_eps_eps_is_limit: bool
+    s_nu_nu: float
+    s_nu_nu_sigma: float
+    dominant: str | None
+
+
 _LASER_NOISE = (
     ("s_phi_phi", "s_phi_phi_rad2_per_hz", NUMBER),
     ("s_phi_phi_sigma", "s_phi_phi_sigma_rad2_per_hz", NUMBER),

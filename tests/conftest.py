@@ -10,8 +10,7 @@ from sidecool import fitting, spectra
 TWO_PI = 2.0 * math.pi
 
 
-@pytest.fixture
-def cavity():
+def published_cavity():
     """The published cavity at the main cooling detuning."""
     return sc.CavitySpec(
         kappa=TWO_PI * 204e3,
@@ -19,6 +18,11 @@ def cavity():
         cavity_length=48e-3,
         laser_frequency=281.76e12,
     )
+
+
+@pytest.fixture
+def cavity():
+    return published_cavity()
 
 
 @pytest.fixture
@@ -108,7 +112,8 @@ def run_campaign(mode, cavity, detection, noise, g0, seed, floor, **kwargs):
 
 
 def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
-    """A PeakFitResult carrying only what the cooling-curve stage reads."""
+    """A PeakFitResult carrying only what the cooling-curve stage reads,
+    fitted at mode (0,1)'s sideband angle in the cavity fixture."""
     coeffs = spectra.LineshapeCoeffs(
         a0=0.0, a1=0.0, a2=a_eff, a3=0.0,
         omega_eff=TWO_PI * 256e3, gamma_eff=gamma_eff,
@@ -120,7 +125,7 @@ def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
         a_eff=a_eff,
         a_eff_sigma=0.01 * a_eff,
         lorentzian_preferred=False,
-        theta=0.5,
+        theta=sc.sideband_angle(published_cavity(), TWO_PI * 256e3),
         window=(226e3, 286e3),
         n_points=1200,
         n_excluded=0,

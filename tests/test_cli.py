@@ -13,7 +13,7 @@ from sidecool import cli, dataio, fitting, report, spectra
 from sidecool.dataio import ExperimentConfig
 from sidecool.spectra import CalibrationTone
 
-from conftest import peak_record, run_campaign
+from conftest import peak_record, published_cavity, run_campaign
 
 TWO_PI = 2.0 * math.pi
 
@@ -304,6 +304,16 @@ def _cooling_record(covariance) -> dict:
 # case -> (where the bad value goes in the first of three fragments, the
 # value, and the text the error line shows for the field and the value)
 _BAD_FRAGMENT_VALUES = {
+    # mode index 1's sideband angle, in fragments fitted for mode index 0
+    "fragment-other-sideband-angle": (
+        ("peaks", 0, "theta_rad"),
+        sc.sideband_angle(published_cavity(), TWO_PI * 593e3),
+        ["peak 0 has sideband angle 0.74", "not the mode's -1.28"],
+    ),
+    "fragment-infinite-gamma-eff": (
+        ("peaks", 0, "coeffs", "gamma_eff_hz"), math.inf,
+        ["gamma_eff must be positive and finite"],
+    ),
     "fragment-list-a-eff": (
         ("peaks", 0, "a_eff_hz2"), [1.0], ["a_eff_hz2 must be a number", "[1.0]"]
     ),
@@ -487,7 +497,10 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
     for bad, (_, _, texts) in _BAD_CONFIG_VALUES.items():
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]
     for bad, (_, _, texts) in _BAD_FRAGMENT_VALUES.items():
-        named[bad] = [str(tmp_path / "frag_0.json"), *texts]
+        # the loader names the file; a value it accepts fails in
+        # summarize_peaks, which does not know the file
+        loads = bad in ("fragment-other-sideband-angle", "fragment-infinite-gamma-eff")
+        named[bad] = texts if loads else [str(tmp_path / "frag_0.json"), *texts]
     for bad, (_, texts) in _BAD_PREDICT_OPTIONS.items():
         named[bad] = texts
     for text in named.get(case, []):

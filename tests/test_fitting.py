@@ -875,6 +875,25 @@ def test_fit_cooling_curve_rejects_unphysical_branch(mode01):
         fitting.fit_cooling_curve(points, mode01)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+def test_fit_cooling_curve_rejects_a_bad_gamma_eff(mode01, bad):
+    """One infinite, NaN or zero gamma_eff among six points raises instead
+    of giving NaN physics."""
+    gammas = TWO_PI * np.geomspace(1e3, 10e3, 6)
+    gammas[2] = bad
+    with pytest.raises(ValueError, match="gamma_eff must be positive and finite"):
+        fitting.fit_cooling_curve([(g, 100.0, 1.0) for g in gammas], mode01)
+
+
+def test_fit_cooling_curve_rejects_a_nan_fit(mode01):
+    """Sigmas so small that their weights overflow give NaN b1 and b2 from
+    finite, positive points; the sign test fails on NaN."""
+    gammas = TWO_PI * np.geomspace(1e3, 10e3, 6)
+    points = [(g, 1e3 / g + 0.13 * g, 1e-300) for g in gammas]
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="b1 = nan"):
+        fitting.fit_cooling_curve(points, mode01)
+
+
 def test_cooling_curve_annotates_soft_points(mode01):
     g_hz = 2.1
     n_th = sc.thermal_occupation(mode01)

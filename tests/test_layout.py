@@ -1,11 +1,11 @@
 """Static checks on the package layout: modules use only each other's public
-names, every ``__all__`` entry exists in its module, every module-level
-import is used, the package namespace re-exports only public names, nothing
-in the package imports scipy (only numpy is a run-time dependency),
-nothing calls a numpy function that imports numpy.ma, and no module keeps
-mutable state in a module-level list, dict or set; every name the
-benchmark tracer patches exists where it patches it; and the package's
-version is the one pyproject.toml declares."""
+names and import only modules of lower layers, every ``__all__`` entry
+exists in its module, every module-level import is used, the package
+namespace re-exports only public names, nothing in the package imports
+scipy (only numpy is a run-time dependency), nothing calls a numpy function
+that imports numpy.ma, and no module keeps mutable state in a module-level
+list, dict or set; every name the benchmark tracer patches exists where it
+patches it; and the package's version is the one pyproject.toml declares."""
 
 import ast
 import importlib
@@ -61,6 +61,35 @@ def _private_uses(tree: ast.Module) -> list[str]:
         ):
             uses.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
     return uses
+
+
+# Intra-package imports run down this list: each module imports only the
+# modules before it, so the records in report can be built by fitting and
+# read by cli without an import cycle.
+LAYERS = ("physics", "spectra", "dataio", "report", "fitting", "cli")
+
+
+def _layer_violations(tree: ast.Module, module: str) -> list[str]:
+    """Imports, at any depth, of sidecool modules that do not come before
+    module in LAYERS; ``import sidecool`` counts as the package itself."""
+    allowed = LAYERS[: LAYERS.index(module)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [
+                a.name.split(".")[1] if "." in a.name else a.name
+                for a in node.names
+                if a.name.split(".")[0] == "sidecool"
+            ]
+        elif isinstance(node, ast.ImportFrom) and _is_sidecool(node):
+            if node.module in (None, "sidecool"):
+                names = [a.name for a in node.names]
+            else:
+                names = [node.module.split(".")[-1]]
+        else:
+            continue
+        found += [f"line {node.lineno}: imports {n}" for n in names if n not in allowed]
+    return found
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:
@@ -189,6 +218,13 @@ def _parse(path: Path) -> ast.Module:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_from_other_modules(path):
     assert _private_uses(_parse(path)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_imports_follow_the_layers(path):
+    assert _layer_violations(_parse(path), path.stem) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -334,10 +370,11 @@ def test_package_namespace_names_are_public():
 
 
 def test_checks_catch_violations():
-    """The checks flag a private cross-module read, a private import, a
-    stale __all__ entry, an unused import, a scipy import, a call of a
-    numpy function that imports numpy.ma, a module-level list, dict or set
-    and a tracer target that is gone."""
+    """The checks flag a private cross-module read, a private import, an
+    import of a module of the same or a higher layer, a stale __all__
+    entry, an unused import, a scipy import, a call of a numpy function
+    that imports numpy.ma, a module-level list, dict or set and a tracer
+    target that is gone."""
     tree = ast.parse(
         "from . import fitting\n"
         "from .physics import _sideband_response\n"
@@ -351,6 +388,23 @@ def test_checks_catch_violations():
     assert _private_uses(tree) == [
         "line 2: imports _sideband_response",
         "line 4: reads fitting._a3_slope",
+    ]
+    assert _layer_violations(tree, "spectra") == ["line 1: imports fitting"]
+    assert _layer_violations(
+        ast.parse(
+            "from . import dataio, cli\n"
+            "from .fitting import nlls_fit\n"
+            "from .physics import hbar\n"
+            "import numpy, sidecool.spectra, sidecool\n"
+            "def f():\n"
+            "    from sidecool.report import FitReport\n"
+        ),
+        "report",
+    ) == [
+        "line 1: imports cli",
+        "line 2: imports fitting",
+        "line 4: imports sidecool",
+        "line 6: imports report",
     ]
     assert _all_entries(tree) == ["gone"]
     assert "gone" not in _top_level_names(tree)

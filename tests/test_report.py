@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
-from sidecool import report
+import sidecool as sc
+from sidecool import fitting, report
 from sidecool.fitting import (
     CoolingCurveResult,
     NoiseDiscrimination,
@@ -17,7 +18,7 @@ from sidecool.fitting import (
 from sidecool.report import FitReport, effective_temperature
 from sidecool.spectra import LineshapeCoeffs
 
-from conftest import peak_record
+from conftest import peak_record, run_campaign
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,14 +160,97 @@ def test_report_with_lorentzian_only_fields_loads(tmp_path, mode01, cavity):
 
     def physics(fragments):
         peaks = [p for frag in fragments for p in frag.peaks]
-        c = summarize_peaks(peaks, mode01, cavity)
-        doc = FitReport(
-            peaks=c.peaks, cooling=c.cooling, discrimination=c.discrimination,
-            noise=c.noise,
-        ).to_dict()
-        return doc, c.a3_slope, c.a3_slope_sigma
+        return summarize_peaks(peaks, mode01, cavity).to_dict()
 
     loaded = physics(legacy)
     assert loaded == physics(current)
     assert not any(k.startswith("lorentzian_") and k != "lorentzian_preferred"
-                   for p in loaded[0]["peaks"] for k in p)
+                   for p in loaded["peaks"] for k in p)
+
+
+def test_campaign_report_carries_the_physics_and_round_trips(
+    tmp_path, cavity, mode01, detection, phase_noise
+):
+    """The FitReport that analyze_campaign returns holds T_eff at n_min,
+    Q_eff = Omega_m / Gamma_min and the a3 slope with its sigma, writes the
+    slope keys, and survives save -> load -> save byte for byte."""
+    rep, _ = run_campaign(
+        mode01, cavity, detection, phase_noise, g0=TWO_PI * 2.1, seed=0, floor=3.5e-3
+    )
+    assert rep.t_eff_k == effective_temperature(rep.cooling.n_min, mode01.omega_m)
+    assert rep.q_eff == mode01.omega_m / rep.cooling.gamma_min
+    disc = rep.discrimination
+    assert (disc.a3_slope, disc.a3_slope_sigma) == fitting._a3_slope(rep.peaks)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    rep.save(first)
+    FitReport.load(first).save(second)
+    assert second.read_bytes() == first.read_bytes()
+    saved = json.loads(first.read_text())["noise_discrimination"]
+    assert saved["a3_slope_hz2_s_per_rad"] == disc.a3_slope
+    assert saved["a3_slope_sigma_hz2_s_per_rad"] == disc.a3_slope_sigma > 0
+
+
+# a report as tool version 0.3.0 wrote it, with its peaks left out: its
+# noise_discrimination has no a3 slope keys
+REPORT_0_3_0 = """{
+  "tool_version": "0.3.0",
+  "peaks": [],
+  "provenance": {"config": "config.json", "fragments": ["f0.json", "f1.json", "f2.json"]},
+  "cooling_curve": {
+    "b1_hz2_rad_per_s": 28892017.8658648, "b2_hz2_s_per_rad": 0.1366251895339858,
+    "covariance": [[225580202683.05432, -247.38337226598642],
+                   [-247.3833722659865, 1.2488882802112154e-06]],
+    "reduced_chi2": 2.9945303321533614,
+    "g0_hz": 2.083294920839186, "g0_sigma_hz": 0.017123533032494285,
+    "n_min": 457.77578498930507, "n_min_sigma": 4.9223320133205615,
+    "gamma_min_hz": 2314.428029413048, "gamma_min_sigma_hz": 24.886382275489794,
+    "n_points": 4, "annotations": []
+  },
+  "noise_discrimination": {
+    "classification": "phase-dominated",
+    "ratio": -1.8445475209770472, "ratio_sigma": 0.016615050983785806,
+    "expected_phase_ratio": -1.827024018882064, "amplitude_fraction": 0.0
+  },
+  "laser_noise": {
+    "s_phi_phi_rad2_per_hz": 3.3999622245159997e-13,
+    "s_phi_phi_sigma_rad2_per_hz": 2.7810263862097442e-15,
+    "s_phi_phi_is_limit": false,
+    "s_eps_eps_per_hz": 8.750487141143559e-14,
+    "s_eps_eps_sigma_per_hz": 7.157531179680549e-16,
+    "s_eps_eps_is_limit": true,
+    "s_nu_nu_hz2_per_hz": 0.02228199243458805,
+    "s_nu_nu_sigma_hz2_per_hz": 0.00018225734524664175,
+    "dominant": "phase"
+  },
+  "t_eff_k": 0.00562426179907765,
+  "q_eff": 110.61048204852712
+}
+"""
+
+
+def test_report_from_tool_version_0_3_0_loads_without_a3_slope(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(REPORT_0_3_0)
+    rep = FitReport.load(path)
+    disc = rep.discrimination
+    assert disc.a3_slope is None and disc.a3_slope_sigma is None
+    assert disc.classification == "phase-dominated"
+    assert rep.cooling.n_min == 457.77578498930507
+    assert rep.noise.dominant == "phase" and rep.q_eff == 110.61048204852712
+    assert "a3_slope_hz2_s_per_rad" not in rep.to_dict()["noise_discrimination"]
+
+
+def test_peak_at_another_sideband_angle_is_rejected(cavity, mode01, mode02):
+    """Peaks fitted for mode (0,1) do not make a campaign of mode (0,2): the
+    error names the peak and both angles."""
+    peaks = [peak_record(g, 1e3 / g + g) for g in TWO_PI * np.geomspace(1e3, 10e3, 4)]
+    theta_01 = sc.sideband_angle(cavity, mode01.omega_m)
+    theta_02 = sc.sideband_angle(cavity, mode02.omega_m)
+    assert summarize_peaks(peaks, mode01, cavity).discrimination is not None
+    with pytest.raises(ValueError) as err:
+        summarize_peaks(peaks, mode02, cavity)
+    assert "peak 0" in str(err.value)
+    assert repr(theta_01) in str(err.value) and repr(theta_02) in str(err.value)
+    peaks[2] = dataclasses.replace(peaks[2], theta=theta_01 + 2e-9)
+    with pytest.raises(ValueError, match="peak 2"):
+        summarize_peaks(peaks, mode01, cavity)
