@@ -196,13 +196,14 @@ def cmd_synth(args) -> int:
         )
     f_start = args.f_start_hz if args.f_start_hz is not None else mode_f - 100e3
     f_stop = args.f_stop_hz if args.f_stop_hz is not None else mode_f + 100e3
+    band = f"--f-start-hz {f_start:.6g} to --f-stop-hz {f_stop:.6g}"
     if f_start <= 0 or f_stop <= f_start:
-        return _fail("invalid frequency range")
+        return _fail(f"invalid frequency range {band}: need 0 < start < stop")
     n_bins = int(round((f_stop - f_start) / args.f_step_hz)) + 1
 
     tone = config.calibration_tone
     if tone is not None and not (f_start < tone.frequency_hz < f_stop):
-        return _fail("calibration tone lies outside the synthesis grid")
+        return _fail(f"calibration tone lies outside the synthesis grid {band}")
 
     # The dispersive part of the peak digs below the flat floor; raise the
     # floor to the detected-noise level every drive point needs to stay
@@ -216,7 +217,7 @@ def cmd_synth(args) -> int:
                 mode, config.cavity, drive, noise, floor=0.0
             )
         except InstabilityError as exc:
-            return _fail(f"unstable drive point: {exc}")
+            return _fail(f"unstable drive point --gamma-opt-hz {g_hz:.6g}: {exc}")
         dip = float(np.min(spectra.peak_model(f_grid, coeffs, config.detection)))
         if dip < 0:
             floor = max(floor, 1.3 * abs(dip))
@@ -224,25 +225,22 @@ def cmd_synth(args) -> int:
         _log(f"raising PSD floor to {floor:.3g} Hz^2/Hz to keep the model positive")
     background = None if args.no_background else _default_background(mode_f, floor, args)
 
-    try:
-        specs, truth = spectra.synthesize_campaign(
-            mode=mode,
-            cavity=config.cavity,
-            g0=config.g0,
-            gamma_opt_grid=TWO_PI * np.asarray(grid_hz),
-            noise=noise,
-            detection=config.detection,
-            f_start=f_start,
-            f_step=args.f_step_hz,
-            n_bins=n_bins,
-            n_averages=args.n_averages,
-            seed=args.seed,
-            floor=floor,
-            background=background,
-            tone=tone,
-        )
-    except InstabilityError as exc:
-        return _fail(f"unstable drive point: {exc}")
+    specs, truth = spectra.synthesize_campaign(
+        mode=mode,
+        cavity=config.cavity,
+        g0=config.g0,
+        gamma_opt_grid=TWO_PI * np.asarray(grid_hz),
+        noise=noise,
+        detection=config.detection,
+        f_start=f_start,
+        f_step=args.f_step_hz,
+        n_bins=n_bins,
+        n_averages=args.n_averages,
+        seed=args.seed,
+        floor=floor,
+        background=background,
+        tone=tone,
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -337,14 +335,15 @@ def cmd_cooling_curve(args) -> int:
     config, mode = _load_config(args)
     if len(args.fragments) < 3:
         return _fail("need at least 3 fit-peak fragments")
-    peaks = []
+    peaks, labels = [], []
     for frag_path in args.fragments:
         frag = report.FitReport.load(frag_path)
         if not frag.peaks:
             return _fail(f"{frag_path}: no peak record")
         peaks.extend(frag.peaks)
+        labels.extend(f"{frag_path} peak {j}" for j in range(len(frag.peaks)))
 
-    full = fitting.summarize_peaks(peaks, mode, config.cavity)
+    full = fitting.summarize_peaks(peaks, mode, config.cavity, labels)
     full.provenance = {"config": args.config, "fragments": args.fragments}
     full.save(args.out)
     cooling = full.cooling

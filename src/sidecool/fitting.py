@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataio import convert_phase_noise
 from .physics import (
     CavitySpec,
     MechMode,
@@ -373,48 +374,11 @@ def _retained_mask(f: np.ndarray, exclusion_windows) -> np.ndarray:
     return keep
 
 
-def _background_models(f: np.ndarray, f_step: float, f_pivot: float):
-    """The tail + beat background model on the grid f (Hz), and the bounds
-    of its six parameters: the tail's (offset, amplitude at f_pivot,
-    exponent), then the beat note's (centre, width, amplitude). The model
-    returns its values and a filler for its rows.
-
-    The power law is pivoted at the band's geometric mean so amplitude and
-    exponent decorrelate; a raw amp * f^-e parameterization puts the minimum
-    in a curved valley the minimizer crawls along. The tail power x^-e,
-    x = f / f_pivot, is taken as exp(-e log x) from the log x that the
-    exponent's row -amp x^-e log x needs anyway; that takes less than half
-    the time of x ** -e.
-    """
-    log_x = np.log(f / f_pivot)
-
-    # beat = amp lobe, lobe = h^2 / den, den = d^2 + h^2 with d = f - center
-    # and h = width / 2; d lobe/d center = 2 d lobe / den and
-    # d lobe/d width = h d^2 / den^2 = (d^2 / h) lobe / den
-    def model(p):
-        tail_amp, power = p[1], np.exp(-p[2] * log_x)
-        amp, d, h = p[5], f - p[3], p[4] / 2.0
-        d_sq = d * d
-        den = d_sq + h**2
-        lobe = h**2 / den
-
-        def fill(jac_t):
-            jac_t[0] = 1.0
-            jac_t[1] = power
-            np.multiply(power, -tail_amp, out=jac_t[2])
-            jac_t[2] *= log_x
-            per_den = lobe / den
-            np.multiply(d, 2.0 * amp, out=jac_t[3])
-            jac_t[3] *= per_den
-            np.multiply(d_sq, amp / h, out=jac_t[4])
-            jac_t[4] *= per_den
-            jac_t[5] = lobe
-
-        return p[0] + tail_amp * power + amp * lobe, fill
-
+def _background_bounds(f: np.ndarray, f_step: float):
+    """Bounds of the six parameters of BackgroundModel.on_grid in a fit on
+    the grid f (Hz) of bin width f_step."""
     bounds = [(0.0, None), (0.0, None), (0.1, 6.0)]
-    bounds += [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), (0.0, None)]
-    return model, bounds
+    return bounds + [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), (0.0, None)]
 
 
 def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
@@ -430,7 +394,7 @@ def _background_start(
     exclusion_windows, given the spectrum's frequencies f and per-bin
     variance var from _level_and_variance: the mask of those bins, the
     band's pivot f_pivot = sqrt(f[0] f[-1]), and the six parameters of
-    _background_models' model at that pivot.
+    BackgroundModel.on_grid at that pivot.
 
     The tail has exponent 2, and its offset and amplitude solve the weighted
     linear least-squares problem, clipped to their bounds. The largest bump
@@ -475,12 +439,12 @@ def fit_background(
     f = spectrum.frequencies
     var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
     keep, f_pivot, start = _background_start(spectrum, f, exclusion_windows, var)
-    model, bounds = _background_models(f[keep], spectrum.f_step, f_pivot)
+    bounds = _background_bounds(f[keep], spectrum.f_step)
     if start[5] == 0.0:
         bounds[5] = (0.0, 0.0)
     fit = nlls_fit(
         FitProblem(
-            model=model,
+            model=BackgroundModel.on_grid(f[keep], f_pivot),
             data=spectrum.values[keep],
             weights=1.0 / var[keep],
             initial_params=start,
@@ -653,6 +617,19 @@ def fit_peak(
 # ---------------------------------------------------------------------------
 
 
+def _point_error(gamma: float, a_eff: float, sigma: float) -> str | None:
+    """The rule a cooling-curve point (gamma_eff, a_eff, sigma) breaks, or
+    None. Each test is written so that NaN fails; an infinite sigma is a
+    zero-weight point."""
+    if not 0.0 < gamma < math.inf:
+        return f"gamma_eff must be positive and finite, got {gamma!r}"
+    if not math.isfinite(a_eff):
+        return f"a_eff must be finite, got {a_eff!r}"
+    if not sigma > 0.0:
+        return f"a_eff sigma must be positive, got {sigma!r}"
+    return None
+
+
 def fit_cooling_curve(
     points: Sequence[tuple[float, float, float]],
     mode: MechMode,
@@ -666,16 +643,13 @@ def fit_cooling_curve(
     pts = [(float(g), float(a), float(s)) for g, a, s in points]
     if len(pts) < 2:
         raise ValueError("cooling-curve fit needs at least 2 points")
+    for i, point in enumerate(pts):
+        error = _point_error(*point)
+        if error:
+            raise ValueError(f"point {i}: {error}")
     gammas = np.array([p[0] for p in pts])
     areas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
-    # written so that NaN fails; an infinite sigma is a zero-weight point
-    if not np.all((gammas > 0) & (gammas < np.inf)):
-        raise ValueError("all gamma_eff must be positive and finite")
-    if not np.all(np.isfinite(areas)):
-        raise ValueError("all a_eff must be finite")
-    if not np.all(sigmas > 0):
-        raise ValueError("all a_eff sigmas must be positive")
 
     annotations = []
     n_soft = int(np.sum(gammas < 10.0 * mode.gamma_m))
@@ -802,7 +776,7 @@ def extract_noise_psd(
 
     s_phi = coupling * math.cos(theta) ** 2
     s_eps = coupling / a_fac**2
-    nu_factor = (mode.omega_m / TWO_PI) ** 2
+    s_nu = convert_phase_noise(s_phi, mode.omega_m)
 
     if dominance == "phase-dominated":
         dominant = "phase"
@@ -821,8 +795,8 @@ def extract_noise_psd(
         s_eps_eps=s_eps,
         s_eps_eps_sigma=s_eps * rel,
         s_eps_eps_is_limit=amp_limit,
-        s_nu_nu=nu_factor * s_phi,
-        s_nu_nu_sigma=nu_factor * s_phi * rel,
+        s_nu_nu=s_nu,
+        s_nu_nu_sigma=s_nu * rel,
         dominant=dominant,
     )
 
@@ -833,13 +807,11 @@ def extract_noise_psd(
 
 
 def _a3_slope(peaks: Sequence[PeakFitResult]) -> tuple[float, float]:
-    """Weighted through-origin fit of the dispersive weight vs gamma_eff."""
+    """Weighted through-origin fit of the dispersive weight vs gamma_eff, on
+    peaks that pass _peak_error."""
     g = np.array([p.coeffs.gamma_eff for p in peaks])
     a3 = np.array([p.a3 for p in peaks])
     sig = np.array([max(p.a3_sigma, 1e-300) for p in peaks])
-    # an infinite sigma is a zero-weight point; NaN in either is bad input
-    if not np.all(np.isfinite(a3)) or np.any(np.isnan(sig)):
-        raise ValueError("a3 slope undefined: a peak has a non-finite a3 or a NaN sigma")
     w = 1.0 / sig**2
     denom = float(np.sum(w * g**2))
     if denom == 0.0:
@@ -850,10 +822,25 @@ def _a3_slope(peaks: Sequence[PeakFitResult]) -> tuple[float, float]:
     return slope, math.sqrt(1.0 / denom)
 
 
+def _peak_error(p: PeakFitResult, theta: float) -> str | None:
+    """The rule a campaign's peak breaks, or None: it is fitted at the mode's
+    sideband angle theta (within 1e-9 rad, a margin for the Hz round trip of
+    a loaded config), its a3 is finite and its a3 sigma not NaN (an infinite
+    one is a zero-weight point), and it is a valid cooling-curve point."""
+    if not abs(p.theta - theta) <= 1e-9:  # written so that NaN fails
+        return f"sideband angle {p.theta!r} rad is not the mode's {theta!r}"
+    if not math.isfinite(p.a3):
+        return f"a3 must be finite, got {p.a3!r}"
+    if math.isnan(p.a3_sigma):
+        return "a3 sigma must not be NaN"
+    return _point_error(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma)
+
+
 def summarize_peaks(
     peaks: Sequence[PeakFitResult],
     mode: MechMode,
     cavity: CavitySpec,
+    labels: Sequence[str] | None = None,
 ) -> FitReport:
     """Turn a set of peak fits into the report of the campaign's physics,
     with empty provenance.
@@ -861,16 +848,15 @@ def summarize_peaks(
     Fits the cooling curve to (gamma_eff, a_eff) and the dispersive weight a3
     to gamma_eff, attributes the excess heating to phase or amplitude noise,
     inverts the cooling-curve minimum for the laser-noise PSDs, and gives
-    T_eff at n_min and Q_eff = Omega_m / Gamma_min. A peak fitted at another
-    sideband angle (more than 1e-9 rad away, a margin for the Hz round trip
-    of a loaded config) raises ValueError.
+    T_eff at n_min and Q_eff = Omega_m / Gamma_min. A peak that _peak_error
+    rejects, such as one fitted at another sideband angle, raises ValueError
+    naming it as labels[i] ("peak i" without labels).
     """
     theta = sideband_angle(cavity, mode.omega_m)
     for i, p in enumerate(peaks):
-        if not abs(p.theta - theta) <= 1e-9:  # written so that NaN fails
-            raise ValueError(
-                f"peak {i} has sideband angle {p.theta!r} rad, not the mode's {theta!r}"
-            )
+        error = _peak_error(p, theta)
+        if error:
+            raise ValueError(f"{labels[i] if labels else f'peak {i}'}: {error}")
     points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
     cooling = fit_cooling_curve(points, mode)
     slope, slope_sigma = _a3_slope(peaks)
@@ -947,14 +933,12 @@ def analyze_peak(
     )
     # the peak's start, from the search window of the start-subtracted values
     sl = spectrum.window_slice(*search_window)
-    start_model, _ = _background_models(f[sl], spectrum.f_step, f_pivot)
-    init = _guess_in_window(
-        f[sl], spectrum.values[sl] - start_model(params)[0], spectrum.f_step, detection
-    )
+    clean = spectrum.values[sl] - BackgroundModel.on_grid(f[sl], f_pivot)(params)[0]
+    init = _guess_in_window(f[sl], clean, spectrum.f_step, detection)
 
     keep = _kept_bins(spectrum, f, level, init, exclusion_windows)
     f_k = f[keep]
-    background_model, bounds = _background_models(f_k, spectrum.f_step, f_pivot)
+    bounds = _background_bounds(f_k, spectrum.f_step)
 
     # the start's offset plus the level under its peak
     x0 = np.concatenate([params, init.as_array()[2:]])
@@ -966,7 +950,7 @@ def analyze_peak(
         FitProblem(
             # fit_background's six parameters, whose offset is the flat
             # level a0, then a2, a3, omega_eff and gamma_eff
-            model=_with_lineshape(background_model, 6, grid[keep]),
+            model=_with_lineshape(BackgroundModel.on_grid(f_k, f_pivot), 6, grid[keep]),
             data=spectrum.values[keep],
             weights=1.0 / level[1][keep],
             initial_params=x0,

@@ -24,7 +24,7 @@ import copy
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -140,7 +140,8 @@ class LineshapeCoeffs:
 @dataclass(frozen=True)
 class BackgroundModel:
     """Phenomenological background: a low-frequency power-law tail plus the
-    probe/cooling-beam beat note, modeled as a Lorentzian."""
+    probe/cooling-beam beat note, modeled as a Lorentzian. The fields, in
+    order, are the parameters of on_grid's model at a pivot of 1 Hz."""
 
     tail_offset: float = 0.0
     tail_amplitude: float = 0.0
@@ -154,6 +155,45 @@ class BackgroundModel:
             raise ValueError("tail_exponent must be positive")
         if self.beat_width <= 0:
             raise ValueError("beat_width must be positive")
+
+    @staticmethod
+    def on_grid(f: np.ndarray, f_pivot: float):
+        """The model on the grid f (Hz) of the six parameters (tail offset,
+        tail amplitude at f_pivot, tail exponent, beat centre, width and
+        amplitude): it returns the values and a filler for their rows, as
+        PeakGrid.model does. Fits pivot the power law at the band's geometric
+        mean so amplitude and exponent decorrelate; a raw amp * f^-e puts the
+        minimum in a curved valley the minimizer crawls along. The tail power
+        x^-e, x = f / f_pivot, is exp(-e log x) from the log x that the
+        exponent's row -amp x^-e log x needs anyway, in under half the time
+        of x ** -e."""
+        log_x = np.log(f / f_pivot)
+
+        # beat = amp lobe, lobe = h^2 / den, den = d^2 + h^2 with d = f - center
+        # and h = width / 2; d lobe/d center = 2 d lobe / den and
+        # d lobe/d width = h d^2 / den^2 = (d^2 / h) lobe / den
+        def model(p):
+            tail_amp, power = p[1], np.exp(-p[2] * log_x)
+            amp, d, h = p[5], f - p[3], p[4] / 2.0
+            d_sq = d * d
+            den = d_sq + h**2
+            lobe = h**2 / den
+
+            def fill(jac_t):
+                jac_t[0] = 1.0
+                jac_t[1] = power
+                np.multiply(power, -tail_amp, out=jac_t[2])
+                jac_t[2] *= log_x
+                per_den = lobe / den
+                np.multiply(d, 2.0 * amp, out=jac_t[3])
+                jac_t[3] *= per_den
+                np.multiply(d_sq, amp / h, out=jac_t[4])
+                jac_t[4] *= per_den
+                jac_t[5] = lobe
+
+            return p[0] + tail_amp * power + amp * lobe, fill
+
+        return model
 
 
 @dataclass(frozen=True)
@@ -502,12 +542,8 @@ def synthesize_campaign(
 
 
 def evaluate_background(model: BackgroundModel, f: np.ndarray) -> np.ndarray:
-    """Evaluate the background model on a grid of positive frequencies (Hz)."""
+    """The background model, as the fits evaluate it, on positive f (Hz)."""
     f = np.asarray(f, dtype=float)
     if np.any(f <= 0):
         raise ValueError("background model requires positive frequencies")
-    tail = model.tail_offset + model.tail_amplitude * f ** (-model.tail_exponent)
-    beat = model.beat_amplitude * (model.beat_width / 2.0) ** 2 / (
-        (f - model.beat_center) ** 2 + (model.beat_width / 2.0) ** 2
-    )
-    return tail + beat
+    return BackgroundModel.on_grid(f, 1.0)(astuple(model))[0]

@@ -119,7 +119,7 @@ def lineshape_jacobian_reference(w, c_sq, params):
 
 def background_jacobian_reference(f, params):
     """The six Jacobian rows of the tail + beat model of
-    fitting._background_models on the grid f (Hz), at params = (offset,
+    spectra.BackgroundModel.on_grid on the grid f (Hz), at params = (offset,
     tail amplitude at the pivot sqrt(f[0] f[-1]), exponent, beat centre,
     beat width, beat amplitude), with the tail power taken as x ** -e."""
     offset, amp, exponent, center, width, beat = params

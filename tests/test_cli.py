@@ -79,6 +79,31 @@ def test_synth_is_seed_reproducible(tmp_path, config_path):
     assert np.array_equal(va, vb)
 
 
+def test_synth_raw_scale_scales_values_and_tags_them_raw(tmp_path, config_path):
+    """--raw-scale multiplies every value of the same draw and tags the
+    spectra raw_volts2; the manifest records the scale."""
+    plain, scaled = tmp_path / "plain", tmp_path / "scaled"
+    assert _synth(config_path, plain) == 0
+    assert _synth(config_path, scaled, extra=["--raw-scale", "2.5"]) == 0
+    manifest = json.loads((scaled / "manifest.json").read_text())
+    assert manifest["raw_scale"] == 2.5
+    for name in manifest["files"]:
+        a = dataio.read_spectrum(plain / name)
+        b = dataio.read_spectrum(scaled / name)
+        assert a.units is spectra.SpectrumUnits.HZ2_PER_HZ
+        assert b.units is spectra.SpectrumUnits.RAW
+        assert np.array_equal(b.values, 2.5 * a.values)
+
+
+def _config_without(config_path, tmp_path, key) -> str:
+    """A copy of the config at config_path without its top-level key."""
+    doc = json.loads(Path(config_path).read_text())
+    del doc[key]
+    path = tmp_path / f"config_without_{key}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "option, value",
     [
@@ -96,7 +121,10 @@ def test_synth_is_seed_reproducible(tmp_path, config_path):
         ("--beat-amplitude", "nan"),
         ("--beat-amplitude", "inf"),
         ("--gamma-opt-hz", "1000,nan,3000"),
+        ("--gamma-opt-hz", "1000,-500,3000"),  # an unstable drive point
         ("--n-averages", "0"),
+        ("--f-start-hz", "400e3"),  # above the default stop, 356 kHz
+        ("--f-stop-hz", "300e3"),  # below the config's 340 kHz tone
     ],
 )
 def test_synth_bad_input_gives_one_error_line(tmp_path, config_path, capsys, option, value):
@@ -211,6 +239,28 @@ def test_fit_peak_reports_degenerate_fit(tmp_path, config_path, capsys, monkeypa
     assert "singular" in _one_error_line(capsys)
 
 
+def test_fit_peak_without_calibration_tone(tmp_path, config_path):
+    """With no tone in the config, synth adds none and fit-peak fits the
+    spectrum as read, with no exclusion window: its fragment holds the peak
+    that analyze_peak gives in memory."""
+    config = _config_without(config_path, tmp_path, "calibration_tone")
+    out, frag = tmp_path / "camp", tmp_path / "frag.json"
+    assert _synth(config, out, extra=["--gamma-opt-hz", "2000"]) == 0
+    assert "calibration_tone" not in json.loads((out / "manifest.json").read_text())["config"]
+    spectrum = out / "spectrum_000.csv"
+    argv = ["fit-peak", "--config", config, "--spectrum", str(spectrum), "--out", str(frag)]
+    assert _run([*argv, "--window-hz", "226e3", "286e3"]) == 0
+    cfg = dataio.load_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want, _ = fitting.analyze_peak(
+            dataio.read_spectrum(spectrum), cfg.mode(0), cfg.cavity, cfg.detection,
+            search_window=(226e3, 286e3),
+        )
+    got = json.loads(frag.read_text())["peaks"]
+    assert got == report.FitReport(peaks=[want]).to_dict()["peaks"]
+
+
 @pytest.mark.parametrize("index", ["5", "-1"])
 @pytest.mark.parametrize("command", ["synth", "fit-peak", "cooling-curve", "predict"])
 def test_mode_index_out_of_range(tmp_path, config_path, capsys, command, index):
@@ -308,7 +358,7 @@ _BAD_FRAGMENT_VALUES = {
     "fragment-other-sideband-angle": (
         ("peaks", 0, "theta_rad"),
         sc.sideband_angle(published_cavity(), TWO_PI * 593e3),
-        ["peak 0 has sideband angle 0.74", "not the mode's -1.28"],
+        ["peak 0: sideband angle 0.74", "is not the mode's -1.28"],
     ),
     "fragment-infinite-gamma-eff": (
         ("peaks", 0, "coeffs", "gamma_eff_hz"), math.inf,
@@ -377,6 +427,14 @@ _BAD_PREDICT_OPTIONS = {
         ["--sweep", "gamma-opt", "--min", "0", "--max", "50e3", "--log"],
         ["--min must be positive with --log"],
     ),
+    "predict-max-equal-to-min": (
+        ["--sweep", "gamma-opt", "--min", "500", "--max", "500"],
+        ["--max must exceed --min"],
+    ),
+    "predict-max-below-min": (
+        ["--sweep", "gamma-opt", "--min", "500", "--max", "200"],
+        ["--max must exceed --min"],
+    ),
     "predict-log-negative-min": (
         ["--sweep", "detuning", "--min=-600e3", "--max=-100e3", "--log"],
         ["--min must be positive with --log"],
@@ -396,6 +454,14 @@ def _bad_input_argv(case, tmp_path, config_path):
                 "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
     if case in _BAD_PREDICT_OPTIONS:
         return ["predict", "--config", config_path, *_BAD_PREDICT_OPTIONS[case][0], *out]
+    if case == "synth-without-g0":
+        return ["synth", "--config", _config_without(config_path, tmp_path, "g0_hz"),
+                "--seed", "1", "--out-dir", str(tmp_path / "out.json")]
+    if case == "predict-without-g0":
+        return ["predict", "--config", _config_without(config_path, tmp_path, "g0_hz"),
+                "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
+    if case == "convert-sll-without-config":
+        return ["convert", "--quantity", "snn-to-sll", "--value", "1e-2"]
     if case == "missing-spectrum":
         return ["fit-peak", "--config", config_path,
                 "--spectrum", str(tmp_path / "missing.csv"), *out]
@@ -473,6 +539,9 @@ def _bad_input_argv(case, tmp_path, config_path):
         "fragment-nan-a3-sigma",
         "config-missing-key",
         "missing-config",
+        "synth-without-g0",
+        "predict-without-g0",
+        "convert-sll-without-config",
         *_BAD_CONFIG_VALUES,
         *_BAD_FRAGMENT_VALUES,
         *_BAD_PREDICT_OPTIONS,
@@ -489,18 +558,20 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
         "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 6x6"],
-        "fragment-nan-sigma": ["a_eff sigmas must be positive"],
-        "fragment-nan-a3": ["non-finite a3"],
-        "fragment-nan-a3-sigma": ["NaN sigma"],
+        "fragment-nan-sigma": [
+            str(tmp_path / "frag_0.json"), "a_eff sigma must be positive, got nan"
+        ],
+        "fragment-nan-a3": [str(tmp_path / "frag_0.json"), "a3 must be finite, got nan"],
+        "fragment-nan-a3-sigma": [str(tmp_path / "frag_0.json"), "a3 sigma must not be NaN"],
         "config-missing-key": [str(tmp_path / "bad_config.json"), "'frequency_hz'"],
+        "synth-without-g0": ["config must provide g0_hz for synthesis"],
+        "predict-without-g0": ["config must provide g0_hz for predictions"],
+        "convert-sll-without-config": ["--config", "is required"],
     }
     for bad, (_, _, texts) in _BAD_CONFIG_VALUES.items():
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]
     for bad, (_, _, texts) in _BAD_FRAGMENT_VALUES.items():
-        # the loader names the file; a value it accepts fails in
-        # summarize_peaks, which does not know the file
-        loads = bad in ("fragment-other-sideband-angle", "fragment-infinite-gamma-eff")
-        named[bad] = texts if loads else [str(tmp_path / "frag_0.json"), *texts]
+        named[bad] = [str(tmp_path / "frag_0.json"), *texts]
     for bad, (_, texts) in _BAD_PREDICT_OPTIONS.items():
         named[bad] = texts
     for text in named.get(case, []):
@@ -631,20 +702,44 @@ def test_predict_quality_factor_sweep_scales_n_min(tmp_path, config_path):
     assert np.max(np.abs(scaled / scaled[0] - 1.0)) < 1e-8
 
 
-def test_convert_round_trip(capsys, config_path):
-    assert _run(
-        ["convert", "--quantity", "snn-to-sphiphi", "--value", "2.2e-2",
-         "--frequency-hz", "256e3"]
-    ) == 0
-    s_phi = float(capsys.readouterr().out.strip())
-    assert s_phi == pytest.approx(2.2e-2 / 256e3**2, rel=1e-12, abs=0)
+def test_predict_without_noise_section(tmp_path, config_path):
+    """Without laser noise nothing limits the cooling: n_min and gamma_min
+    are NaN, and n_eff falls on every row of a gamma-opt sweep with no
+    excess heating."""
+    out = tmp_path / "sweep.tsv"
+    code = _run(
+        [
+            "predict", "--config", _config_without(config_path, tmp_path, "noise"),
+            "--sweep", "gamma-opt", "--min", "200", "--max", "50e3",
+            "--points", "5", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    header, *rows = [ln.split("\t") for ln in out.read_text().splitlines()]
+    column = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    assert column["n_min"] == column["gamma_min_hz"] == ["nan"] * 5
+    assert column["n_exc"] == ["0"] * 5 and column["flag"] == ["ok"] * 5
+    n_eff = np.array(column["n_eff"], dtype=float)
+    assert np.all(np.isfinite(n_eff)) and np.all(np.diff(n_eff) < 0)
 
-    assert _run(
-        ["convert", "--quantity", "snn-to-sll", "--value", "1e-2",
-         "--config", config_path]
-    ) == 0
-    s_ll = float(capsys.readouterr().out.strip())
+
+def test_convert_round_trip(capsys, config_path):
+    """Each forward conversion gives the expected value, and its inverse
+    quantity takes that value back to the input."""
+
+    def convert(quantity, value, *where):
+        assert _run(["convert", "--quantity", quantity, "--value", repr(value), *where]) == 0
+        return float(capsys.readouterr().out.strip())
+
+    where = ("--frequency-hz", "256e3")
+    s_phi = convert("snn-to-sphiphi", 2.2e-2, *where)
+    assert s_phi == pytest.approx(2.2e-2 / 256e3**2, rel=1e-12, abs=0)
+    assert convert("sphiphi-to-snn", s_phi, *where) == pytest.approx(2.2e-2, rel=1e-12, abs=0)
+
+    where = ("--config", config_path)
+    s_ll = convert("snn-to-sll", 1e-2, *where)
     assert s_ll == pytest.approx(2.902e-34, rel=1e-3, abs=0)
+    assert convert("sll-to-snn", s_ll, *where) == pytest.approx(1e-2, rel=1e-12, abs=0)
 
 
 def test_convert_requires_frequency(capsys):

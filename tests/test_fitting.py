@@ -788,9 +788,7 @@ def test_background_jacobian_matches_long_form(offset, amp, exponent, center, wi
     """The tail + beat rows, with the tail power taken as exp(-e log x),
     equal the long-form rows with x ** -e, anywhere inside the background
     fit's bounds."""
-    model, _ = fitting._background_models(
-        _GRID_F, 50.0, math.sqrt(_GRID_F[0] * _GRID_F[-1])
-    )
+    model = spectra.BackgroundModel.on_grid(_GRID_F, math.sqrt(_GRID_F[0] * _GRID_F[-1]))
     params = np.array([offset, amp, exponent, center, width, beat])
     _assert_rows_match(model(params)[1], background_jacobian_reference(_GRID_F, params))
 
