@@ -291,6 +291,10 @@ def cmd_fit_peak(args) -> int:
         spectrum = dataio.calibrate_with_tone(spectrum, config.calibration_tone)
     mode_f = mode.omega_m / TWO_PI
     window = tuple(args.window_hz) if args.window_hz else (mode_f - 30e3, mode_f + 30e3)
+    try:
+        spectrum.window_slice(*window)
+    except ValueError as exc:
+        return _fail(f"search window (--window-hz): {exc}")
 
     result, background = fitting.analyze_peak(
         spectrum,
@@ -450,6 +454,11 @@ def cmd_predict(args) -> int:
     if config.g0 is None:
         return _fail("config must provide g0_hz for predictions")
     noise = config.noise or LaserNoise()
+    if noise.is_zero and args.sweep != "gamma-opt":
+        return _fail(
+            f"--sweep {args.sweep} evaluates each row at gamma_min, which needs "
+            "laser noise: the config's noise section is missing or zero"
+        )
     if args.log:
         values = np.geomspace(args.min, args.max, args.points)
     else:

@@ -484,7 +484,7 @@ def _guess_in_window(
     omega_eff = TWO_PI * float(f[i_pk])
     gamma_eff = TWO_PI * gamma_hz
     unit = LineshapeCoeffs(
-        a0=0.0, a1=0.0, a2=1.0, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
+        a0=0.0, a2=1.0, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
     )
     a2 = (peak - a0) / float(peak_model(f[i_pk : i_pk + 1], unit, detection)[0])
     return replace(unit, a0=a0, a2=a2)
@@ -522,21 +522,24 @@ def _kept_bins(
     return keep
 
 
-def _peak_result(params, covariance, reduced_chi2, theta, window, keep):
-    """The PeakFitResult of lineshape parameters ordered as
-    LineshapeCoeffs.as_array(), with their 6x6 covariance, fitted to the
-    bins that keep marks."""
-    coeffs = LineshapeCoeffs.from_array(params)
+def _peak_result(fit: FitResult, rows, theta, window, keep):
+    """The PeakFitResult of fit, whose parameters at rows are the lineshape's
+    in LineshapeCoeffs.as_array() order and whose others are nuisance ones,
+    fitted to the bins that keep marks."""
+    coeffs = LineshapeCoeffs.from_array(fit.params[rows])
+    # Fortran-ordered, as analyze_peak's block has always been: the BLAS
+    # kernel of _effective_area's 2x2 form, and so a_eff's last bit, follows it
+    covariance = fit.covariance[rows][:, rows]
     a_eff, a_eff_sigma = _effective_area(
-        coeffs.a2, coeffs.a3, theta, covariance[2:4, 2:4]
+        coeffs.a2, coeffs.a3, theta, covariance[1:3, 1:3]
     )
     return PeakFitResult(
         coeffs=coeffs,
         covariance=covariance,
-        reduced_chi2=reduced_chi2,
+        reduced_chi2=fit.reduced_chi2,
         a_eff=a_eff,
         a_eff_sigma=a_eff_sigma,
-        lorentzian_preferred=abs(coeffs.a3) < math.sqrt(max(covariance[3, 3], 0.0)),
+        lorentzian_preferred=abs(coeffs.a3) < math.sqrt(max(covariance[2, 2], 0.0)),
         theta=theta,
         window=window,
         n_points=int(keep.sum()),
@@ -568,7 +571,7 @@ def fit_peak(
     detection: DetectionConfig,
     theta: float,
 ) -> PeakFitResult:
-    """Fit the six-parameter lineshape model in a window.
+    """Fit the five-parameter lineshape and a nuisance slope in a window.
 
     The detection filter |C|^2 is computed from the supplied configuration,
     never fitted. Bin variances come from the spectrum itself.
@@ -602,14 +605,12 @@ def fit_peak(
             model=_with_lineshape(flat_and_slope, 2, grid),
             data=spectrum.values[sl][keep],
             weights=1.0 / var[keep],
-            initial_params=init.as_array(),
+            initial_params=np.insert(init.as_array(), 1, 0.0),
             bounds=[(None, None)] * 4
             + [(w_lo, w_hi), (TWO_PI * spectrum.f_step, w_hi - w_lo)],
         )
     )
-    return _peak_result(
-        joint.params, joint.covariance, joint.reduced_chi2, theta, window, keep
-    )
+    return _peak_result(joint, [0, 2, 3, 4, 5], theta, window, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +913,7 @@ def analyze_peak(
     level, and leaves out the spurious bins away from the starting peak and
     the caller's exclusion_windows.
 
-    The tail carries the slope and a0 is the only flat level: the result has
-    a1 = 0 with a zero covariance row and column, and tail_offset = 0.
+    a0 is the only flat level, so the background has tail_offset = 0.
     window is the peak's reach, the fitted centre +- max(15 effective
     widths, 60 bins) clipped to the band.
 
@@ -941,7 +941,7 @@ def analyze_peak(
     bounds = _background_bounds(f_k, spectrum.f_step)
 
     # the start's offset plus the level under its peak
-    x0 = np.concatenate([params, init.as_array()[2:]])
+    x0 = np.concatenate([params, init.as_array()[1:]])
     x0[0] += init.a0
     w_lo, w_hi = TWO_PI * f_k[0], TWO_PI * f_k[-1]
     bounds += [(None, None), (None, None), (w_lo, w_hi)]
@@ -958,15 +958,10 @@ def analyze_peak(
         )
     )
     p = fit.params
-    lineshape = [0, 1, 6, 7, 8, 9]  # a0, a1 (zeroed below), a2, a3, omega_eff, gamma_eff
-    covariance = fit.covariance[lineshape][:, lineshape]
-    covariance[1, :] = covariance[:, 1] = 0.0
     f_pk = p[8] / TWO_PI
     half = max(15.0 * p[9] / TWO_PI, 60.0 * spectrum.f_step)
     window = (max(f_pk - half, f[0]), min(f_pk + half, f[-1]))
-    result = _peak_result(
-        [p[0], 0.0, *p[6:]], covariance, fit.reduced_chi2, theta, window, keep
-    )
+    result = _peak_result(fit, [0, 6, 7, 8, 9], theta, window, keep)
     return result, _pivoted(f_pivot, 0.0, *p[1:6])
 
 

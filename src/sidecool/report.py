@@ -33,7 +33,7 @@ __all__ = [
     "FitReport", "TOOL_VERSION", "effective_temperature",
 ]
 
-TOOL_VERSION = "0.4.0"
+TOOL_VERSION = "0.5.0"
 
 
 def effective_temperature(n_eff: float, omega_m: float) -> float:
@@ -43,7 +43,6 @@ def effective_temperature(n_eff: float, omega_m: float) -> float:
 
 _COEFFS = (
     ("a0", "a0", NUMBER),
-    ("a1", "a1", NUMBER),
     ("a2", "a2_hz2", NUMBER),
     ("a3", "a3_hz2", NUMBER),
     ("omega_eff", "omega_eff_hz", HZ),
@@ -53,9 +52,9 @@ _COEFFS = (
 
 @dataclass
 class PeakFitResult:
-    """Joint Lorentzian+dispersive peak fit and the effective area
-    a_eff = a2 + a3/tan(theta). lorentzian_preferred flags a dispersive
-    weight a3 within one sigma of zero."""
+    """Joint Lorentzian+dispersive peak fit, with the 5x5 covariance of its
+    coeffs, and the effective area a_eff = a2 + a3/tan(theta).
+    lorentzian_preferred flags a dispersive weight a3 within one sigma of zero."""
 
     coeffs: LineshapeCoeffs
     covariance: np.ndarray
@@ -74,12 +73,21 @@ class PeakFitResult:
 
     @property
     def a3_sigma(self) -> float:
-        return math.sqrt(max(self.covariance[3, 3], 0.0))
+        return math.sqrt(max(self.covariance[2, 2], 0.0))
+
+
+def _read_covariance(value) -> np.ndarray:
+    """A peak's 5x5 covariance. A 6x6 one, as tool versions before 0.5.0
+    wrote it, loses the row and column of the slope a1 after a0, which
+    leaves the marginal covariance of the other five."""
+    if isinstance(value, list) and len(value) == 6:
+        return np.delete(np.delete(matrix(6)[1](value), 1, axis=0), 1, axis=1)
+    return matrix(5)[1](value)
 
 
 _PEAK = (
     ("coeffs", "coeffs", record(LineshapeCoeffs, _COEFFS)),
-    ("covariance", "covariance", matrix(6)),
+    ("covariance", "covariance", (matrix(5)[0], _read_covariance)),
     ("reduced_chi2", "reduced_chi2", NUMBER),
     ("a_eff", "a_eff_hz2", NUMBER),
     ("a_eff_sigma", "a_eff_sigma_hz2", NUMBER),
@@ -211,8 +219,9 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
-        """Keys that no row names are ignored: tool_version, and the
-        lorentzian_* fields of reports from tool versions before 0.2.0."""
+        """Keys that no row names are ignored: tool_version, the lorentzian_*
+        fields of reports from tool versions before 0.2.0, and the a1 of
+        peak coeffs before 0.5.0."""
         return _read_report(d)
 
     def save(self, path: str | Path) -> None:

@@ -3,7 +3,7 @@
 Spectra are one-sided PSDs on a uniform frequency grid (Hz). The homodyne
 peak model is
 
-    S(f) = a0 + a1 (w - w_ref) + |C(w)|^2 (a2 L(w) + a3 D(w)),   w = 2 pi f
+    S(f) = a0 + |C(w)|^2 (a2 L(w) + a3 D(w)),   w = 2 pi f
 
 with L the sum-of-Lorentzians shape (unit area over f in Hz for narrow
 peaks) and D its dispersive counterpart. For a mode cooled with excess
@@ -113,11 +113,10 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class LineshapeCoeffs:
-    """Peak-fit coefficients: flat + sloped background, Lorentzian and
-    dispersive weights (Hz^2), and the effective mode frequency/width (rad/s)."""
+    """Peak-fit coefficients: flat background, Lorentzian and dispersive
+    weights (Hz^2), and the effective mode frequency/width (rad/s)."""
 
     a0: float
-    a1: float
     a2: float
     a3: float
     omega_eff: float
@@ -129,7 +128,7 @@ class LineshapeCoeffs:
 
     def as_array(self) -> np.ndarray:
         return np.array(
-            [self.a0, self.a1, self.a2, self.a3, self.omega_eff, self.gamma_eff]
+            [self.a0, self.a2, self.a3, self.omega_eff, self.gamma_eff]
         )
 
     @classmethod
@@ -243,7 +242,10 @@ class Spectrum:
         return self.f_start + self.f_step * np.arange(self.values.size)
 
     def window_slice(self, f_lo: float, f_hi: float) -> slice:
-        """Index slice covering [f_lo, f_hi]."""
+        """Index slice covering [f_lo, f_hi]; the bounds must be finite, with
+        f_lo < f_hi, and the window must overlap the grid."""
+        if not (math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo < f_hi):
+            raise ValueError(f"window [{f_lo}, {f_hi}] Hz needs finite bounds, low < high")
         i_lo = max(0, int(math.ceil((f_lo - self.f_start) / self.f_step)))
         i_hi = min(self.values.size, int(math.floor((f_hi - self.f_start) / self.f_step)) + 1)
         if i_hi <= i_lo:
@@ -314,10 +316,9 @@ class PeakGrid:
 
     |C(w)|^2 depends only on the grid and the detection configuration, so it
     is computed once here rather than on every model evaluation. Parameter
-    vectors are (a2, a3, omega_eff, gamma_eff), the last four entries of
-    LineshapeCoeffs.as_array(); the flat and sloped level is left to the
-    caller. grid[keep] is the same grid on the bins a boolean mask keeps,
-    without computing |C(w)|^2 again.
+    vectors are (a2, a3, omega_eff, gamma_eff), LineshapeCoeffs.as_array()[1:];
+    the flat level is left to the caller. grid[keep] is the same grid on the
+    bins a boolean mask keeps, without computing |C(w)|^2 again.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
@@ -369,13 +370,9 @@ def peak_model(
     coeffs: LineshapeCoeffs,
     detection: DetectionConfig,
 ) -> np.ndarray:
-    """Evaluate the six-parameter peak model on a frequency grid (Hz): the
-    level a0 + a1 (w - omega_eff) plus PeakGrid's lineshape. Taking the
-    slope relative to the peak frequency decorrelates it from the flat
-    level."""
-    grid = PeakGrid(f, detection)
-    level = coeffs.a0 + coeffs.a1 * (grid.w - coeffs.omega_eff)
-    return level + grid.model(coeffs.as_array()[2:])[0]
+    """Evaluate the five-parameter peak model on a frequency grid (Hz): the
+    flat level a0 plus PeakGrid's lineshape."""
+    return coeffs.a0 + PeakGrid(f, detection).model(coeffs.as_array()[1:])[0]
 
 
 def model_coefficients(
@@ -397,7 +394,6 @@ def model_coefficients(
     a3 = 4.0 * g_hz**2 * budget.n_exc_phase * cos_t * sin_t
     coeffs = LineshapeCoeffs(
         a0=floor,
-        a1=0.0,
         a2=a2,
         a3=a3,
         omega_eff=budget.omega_eff,

@@ -72,7 +72,7 @@ def weighted_line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
 
 
 def peak_model_reference(f, coeffs, detection):
-    """The six-parameter peak model written out term by term, with |C|^2
+    """The five-parameter peak model written out term by term, with |C|^2
     evaluated on every call: the arithmetic spectra.peak_model replaced."""
     w = TWO_PI * np.asarray(f, dtype=float)
     c_sq = np.abs(detection_filter_c(w, detection)) ** 2
@@ -81,11 +81,7 @@ def peak_model_reference(f, coeffs, detection):
     chi_m = 1.0 / ((-w - coeffs.omega_eff) ** 2 + half**2)
     lorentzian = half * (chi_p + chi_m)
     dispersive = (w - coeffs.omega_eff) * chi_p + (-w - coeffs.omega_eff) * chi_m
-    return (
-        coeffs.a0
-        + coeffs.a1 * (w - coeffs.omega_eff)
-        + c_sq * (coeffs.a2 * lorentzian + coeffs.a3 * dispersive)
-    )
+    return coeffs.a0 + c_sq * (coeffs.a2 * lorentzian + coeffs.a3 * dispersive)
 
 
 def lineshape_jacobian_reference(w, c_sq, params):

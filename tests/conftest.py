@@ -115,12 +115,12 @@ def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
     """A PeakFitResult carrying only what the cooling-curve stage reads,
     fitted at mode (0,1)'s sideband angle in the cavity fixture."""
     coeffs = spectra.LineshapeCoeffs(
-        a0=0.0, a1=0.0, a2=a_eff, a3=0.0,
+        a0=0.0, a2=a_eff, a3=0.0,
         omega_eff=TWO_PI * 256e3, gamma_eff=gamma_eff,
     )
     return fitting.PeakFitResult(
         coeffs=coeffs,
-        covariance=np.diag([1.0, 1.0, 1.0, a3_sigma**2, 1.0, 1.0]),
+        covariance=np.diag([1.0, 1.0, a3_sigma**2, 1.0, 1.0]),
         reduced_chi2=1.0,
         a_eff=a_eff,
         a_eff_sigma=0.01 * a_eff,

@@ -441,6 +441,22 @@ _BAD_PREDICT_OPTIONS = {
     ),
 }
 
+# case -> the sweep options of a predict run on a config without a noise
+# section: both sweeps evaluate each row at gamma_min, which needs laser noise
+_SWEEPS_WITHOUT_NOISE = {
+    "predict-detuning-without-noise": ["--sweep", "detuning", "--min=-600e3", "--max=-100e3"],
+    "predict-quality-factor-without-noise": [
+        "--sweep", "quality-factor", "--min", "1e6", "--max", "1e8"
+    ],
+}
+
+# case -> fit-peak's two --window-hz values
+_BAD_WINDOWS = {
+    "fit-peak-infinite-window": ["226e3", "inf"],
+    "fit-peak-nan-window": ["nan", "nan"],
+    "fit-peak-reversed-window": ["286e3", "226e3"],
+}
+
 
 def _bad_input_argv(case, tmp_path, config_path):
     """argv for one malformed input; every case writes to tmp_path/out.json."""
@@ -454,6 +470,12 @@ def _bad_input_argv(case, tmp_path, config_path):
                 "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
     if case in _BAD_PREDICT_OPTIONS:
         return ["predict", "--config", config_path, *_BAD_PREDICT_OPTIONS[case][0], *out]
+    if case in _SWEEPS_WITHOUT_NOISE:
+        return ["predict", "--config", _config_without(config_path, tmp_path, "noise"),
+                *_SWEEPS_WITHOUT_NOISE[case], *out]
+    if case in _BAD_WINDOWS:
+        return ["fit-peak", "--config", config_path, "--spectrum", str(_flat_spectrum(tmp_path)),
+                "--window-hz", *_BAD_WINDOWS[case], *out]
     if case == "synth-without-g0":
         return ["synth", "--config", _config_without(config_path, tmp_path, "g0_hz"),
                 "--seed", "1", "--out-dir", str(tmp_path / "out.json")]
@@ -508,7 +530,7 @@ def _bad_input_argv(case, tmp_path, config_path):
             elif k == 0 and case == "fragment-nan-a3":
                 doc["peaks"][0]["coeffs"]["a3_hz2"] = math.nan
             elif k == 0:
-                doc["peaks"][0]["covariance"][3][3] = math.nan
+                doc["peaks"][0]["covariance"][2][2] = math.nan
             paths.append(tmp_path / f"frag_{k}.json")
             paths[-1].write_text(json.dumps(doc))
         return ["cooling-curve", "--config", config_path, *map(str, paths), *out]
@@ -545,6 +567,8 @@ def _bad_input_argv(case, tmp_path, config_path):
         *_BAD_CONFIG_VALUES,
         *_BAD_FRAGMENT_VALUES,
         *_BAD_PREDICT_OPTIONS,
+        *_SWEEPS_WITHOUT_NOISE,
+        *_BAD_WINDOWS,
     ],
 )
 def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
@@ -557,7 +581,7 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "spectrum-bad-units": [str(tmp_path / "header.csv"), "units", "'volts'"],
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
-        "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 6x6"],
+        "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 5x5"],
         "fragment-nan-sigma": [
             str(tmp_path / "frag_0.json"), "a_eff sigma must be positive, got nan"
         ],
@@ -574,6 +598,10 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         named[bad] = [str(tmp_path / "frag_0.json"), *texts]
     for bad, (_, texts) in _BAD_PREDICT_OPTIONS.items():
         named[bad] = texts
+    for bad, options in _SWEEPS_WITHOUT_NOISE.items():
+        named[bad] = [f"--sweep {options[1]}", "noise section"]
+    for bad in _BAD_WINDOWS:
+        named[bad] = ["--window-hz", "needs finite bounds, low < high"]
     for text in named.get(case, []):
         assert text in line
     assert not (tmp_path / "out.json").exists()
@@ -612,6 +640,69 @@ def test_cooling_curve_matches_analyze_campaign(
     assert rep.noise.dominant == result.noise.dominant
     assert rep.discrimination.classification == result.discrimination.classification
     assert rep.discrimination.classification == "phase-dominated"
+
+
+# a fit-peak fragment as tool version 0.4.0 wrote it, from fit_peak: its
+# fitted slope a1 gives the 6x6 covariance a non-zero second row and column
+FRAGMENT_0_4_0 = """{
+  "tool_version": "0.4.0",
+  "peaks": [{
+    "coeffs": {"a0": 0.005002525940612081, "a1": -1.0200803990062699e-10,
+               "a2_hz2": 3694.1837033881816, "a3_hz2": -1387.3640215261287,
+               "omega_eff_hz": 250960.6142271558, "gamma_eff_hz": 3002.995809149658},
+    "covariance": [
+      [1.0247309789027995e-10, -1.7369922618504476e-16, -5.693345893962149e-05,
+       9.453954507022589e-07, 0.00020506047651653282, -0.0004004012679666354],
+      [-1.736992261850446e-16, 3.414176507076798e-21, 1.936647717885234e-10,
+       -3.075803444052282e-10, 3.724257245835939e-10, 3.283211563184515e-09],
+      [-5.693345893962153e-05, 1.9366477178852403e-10, 626.4384563861541,
+       -35.20918752920939, -647.8661810861508, -1419.8828999490704],
+      [9.453954507022623e-07, -3.075803444052282e-10, -35.2091875292093,
+       87.17923757139056, -176.2503614318101, -857.3929749673879],
+      [0.000205060476516533, 3.724257245835934e-10, -647.8661810861514,
+       -176.25036143181012, 6824.472218276363, -153.268469798044],
+      [-0.00040040126796663547, 3.283211563184512e-09, -1419.8828999490709,
+       -857.3929749673877, -153.26846979804532, 28537.48538664435]
+    ],
+    "reduced_chi2": 1.0154667355612539,
+    "a_eff_hz2": 4107.571764301643, "a_eff_sigma_hz2": 25.5961110883973,
+    "lorentzian_preferred": false, "theta_rad": -1.281206132011992,
+    "window_hz": [200000.0, 300000.0], "n_points": 2001, "n_excluded": 0
+  }],
+  "provenance": {"spectrum": "spectrum_000.csv", "config": "config.json"}
+}
+"""
+
+
+def test_cooling_curve_reads_tool_version_0_4_0_fragments(tmp_path, config_path):
+    """A 0.4.0 peak loads without its a1 and with its 6x6 covariance less row
+    and column 1, the marginal covariance of the other five; cooling-curve
+    on three such fragments writes the same report as on their re-saves,
+    which carry neither a1 nor the sixth row, apart from provenance."""
+    legacy, resaved = [], []
+    for k, gamma in enumerate(TWO_PI * np.geomspace(1e3, 10e3, 3)):
+        doc = json.loads(FRAGMENT_0_4_0)
+        doc["peaks"][0]["coeffs"]["gamma_eff_hz"] = gamma / TWO_PI
+        doc["peaks"][0]["a_eff_hz2"] = 1e3 / gamma + gamma
+        legacy.append(tmp_path / f"legacy_{k}.json")
+        legacy[-1].write_text(json.dumps(doc))
+        frag = report.FitReport.load(legacy[-1])
+        cov, kept = np.array(doc["peaks"][0]["covariance"]), [0, 2, 3, 4, 5]
+        assert np.array_equal(frag.peaks[0].covariance, cov[np.ix_(kept, kept)])
+        resaved.append(tmp_path / f"resaved_{k}.json")
+        frag.save(resaved[-1])
+        saved = json.loads(resaved[-1].read_text())
+        assert saved["tool_version"] == report.TOOL_VERSION
+        assert "a1" not in saved["peaks"][0]["coeffs"]
+        assert np.shape(saved["peaks"][0]["covariance"]) == (5, 5)
+    reports = []
+    for name, frags in (("legacy", legacy), ("resaved", resaved)):
+        out = tmp_path / f"{name}_report.json"
+        assert _run(["cooling-curve", "--config", config_path, *map(str, frags),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+        del reports[-1]["provenance"]
+    assert reports[0] == reports[1]
 
 
 def test_cooling_curve_plot_gives_occupancies(

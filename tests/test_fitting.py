@@ -797,7 +797,7 @@ def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, p
     """analyze_peak's full-band fit starts its lineshape, and its level on
     top of the background start's offset, at the guess made from a whole
     background-subtracted spectrum, though it subtracts the start in the
-    search window alone (a1 is no parameter of that fit)."""
+    search window alone."""
     specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
     for spec in specs:
         var = fitting._level_and_variance(spec.values, spec.n_averages)[1]
@@ -813,7 +813,7 @@ def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, p
         )
         x0 = fits[0][0].initial_params
         got = [x0[0], *x0[6:]]
-        ref = [start.tail_offset + want.a0, *want.as_array()[2:]]
+        ref = [start.tail_offset + want.a0, *want.as_array()[1:]]
         for name, value, expected in zip(
             ["offset + a0", "a2", "a3", "omega_eff", "gamma_eff"], got, ref
         ):
@@ -821,8 +821,8 @@ def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, p
 
 
 def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phase_noise):
-    """peak_model with a sloped level, and PeakGrid's lineshape alone, which
-    is the reference with a0 = a1 = 0."""
+    """peak_model, and PeakGrid's lineshape alone, which is the reference
+    with a0 = 0."""
     f = 156e3 + 50.0 * np.arange(4001)
     grid = spectra.PeakGrid(f, detection)
     for gamma_opt_hz in (1e3, 3e3, 9e3):
@@ -830,11 +830,10 @@ def test_peak_model_matches_reference_arithmetic(cavity, mode01, detection, phas
         coeffs, _ = spectra.model_coefficients(
             mode01, cavity, drive, phase_noise, floor=5e-3
         )
-        sloped = dataclasses.replace(coeffs, a1=1e-9)
-        lineshape = dataclasses.replace(coeffs, a0=0.0, a1=0.0)
+        lineshape = dataclasses.replace(coeffs, a0=0.0)
         for got, ref in [
-            (spectra.peak_model(f, sloped, detection), sloped),
-            (grid.model(coeffs.as_array()[2:])[0], lineshape),
+            (spectra.peak_model(f, coeffs, detection), coeffs),
+            (grid.model(coeffs.as_array()[1:])[0], lineshape),
         ]:
             ref = peak_model_reference(f, ref, detection)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
@@ -1131,7 +1130,7 @@ def test_per_peak_pulls_are_unbiased(cavity, mode01, detection, noise, floor, se
             a_eff_pulls.append((peak.a_eff - truth["a_eff_hz2"]) / peak.a_eff_sigma)
             gamma_pulls.append(
                 (peak.coeffs.gamma_eff - TWO_PI * truth["gamma_eff_hz"])
-                / math.sqrt(peak.covariance[5, 5])
+                / math.sqrt(peak.covariance[4, 4])
             )
             chi2.append(peak.reduced_chi2)
     assert len(chi2) == 96

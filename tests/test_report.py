@@ -89,11 +89,11 @@ def _assert_same(want, got, where="report"):
 
 
 def _peak(rng):
-    half = rng.normal(size=(6, 6))
+    half = rng.normal(size=(5, 5))
     omega_eff = float(rng.uniform(TWO_PI * 250e3, TWO_PI * 260e3))
     gamma_eff = float(rng.uniform(TWO_PI * 1e3, TWO_PI * 1e4))
     return PeakFitResult(
-        coeffs=LineshapeCoeffs(*(float(v) for v in rng.normal(size=4)), omega_eff, gamma_eff),
+        coeffs=LineshapeCoeffs(*(float(v) for v in rng.normal(size=3)), omega_eff, gamma_eff),
         covariance=half @ half.T,
         reduced_chi2=float(rng.uniform(0.5, 2.0)),
         a_eff=float(rng.uniform(1e3, 1e5)),
@@ -107,7 +107,7 @@ def _peak(rng):
 
 
 def test_report_with_every_record_round_trips_bit_for_bit(tmp_path):
-    """Peaks with a 6x6 covariance and a window, a cooling curve with
+    """Peaks with a 5x5 covariance and a window, a cooling curve with
     annotations, a discrimination with no ratio and a NaN fraction, the
     noise PSDs, T_eff, Q_eff and provenance all survive save -> load, field
     by field; values held in rad/s come back through their Hz value."""
