@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -94,7 +94,10 @@ class FitProblem:
     function that writes d model / d params[i] into row i of an
     (n_params, n_data) array. model must be a pure function of params, and
     the filler must bind every value it needs when model is called, so that
-    it gives the same result whenever it is called."""
+    it gives the same result whenever it is called. nlls_fit overwrites the
+    values array with the weighted residual, so model must return a fresh,
+    writable float array on each call, one that neither the filler nor a
+    later call reads."""
 
     model: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], None]]]
     data: np.ndarray
@@ -142,31 +145,38 @@ def _bounded_step(normal, grad, lam, free, params, lo, hi):
     A free parameter that the step would carry past a bound is pinned at
     that bound, and the damped system is solved again for the others with
     the pinned moves on its right-hand side (a projected active-set step),
-    until no solved parameter crosses a bound."""
-    step = np.zeros_like(params)
-    solve = free.copy()
+    until no solved parameter crosses a bound. A parameter held out of a
+    solve, frozen or pinned, keeps its row and column of the damped system
+    as those of the identity and a zero right-hand side, so each solve is
+    of the whole system and a step that crosses no bound takes one."""
+    damped = normal + np.diag(lam * normal.diagonal())
+    solve, held = free, ~free
+    step = np.zeros(params.size)
+    pinned = False
     while True:
-        if solve.all():
-            damped, rhs, diag = normal.copy(), grad, normal.diagonal()
-        else:
-            damped, diag = normal[np.ix_(solve, solve)], normal.diagonal()[solve]
-            rhs = grad[solve] - normal[np.ix_(solve, ~solve)] @ step[~solve]
-        damped.flat[:: diag.size + 1] += lam * diag
+        system, rhs = damped, grad
+        if held.any():
+            system = damped.copy()
+            system[held] = 0.0
+            system[:, held] = 0.0
+            system[held, held] = 1.0
+            rhs = grad - normal @ np.where(solve, 0.0, step)
+            rhs[held] = 0.0
         try:
-            step[solve] = np.linalg.solve(damped, rhs)
+            step = np.where(solve, np.linalg.solve(system, rhs), step)
         except np.linalg.LinAlgError as exc:
             raise DegenerateFitError("singular normal matrix") from exc
         trial = params + step
-        below, above = solve & (trial < lo), solve & (trial > hi)
-        crossed = below | above
+        crossed = solve & ((trial < lo) | (trial > hi))
         if not crossed.any():
             break
-        trial[below], trial[above] = lo[below], hi[above]
+        trial[crossed] = np.clip(trial[crossed], lo[crossed], hi[crossed])
         step[crossed] = trial[crossed] - params[crossed]
-        solve &= ~crossed
+        pinned = pinned or bool(step[crossed].any())
+        solve, held = solve & ~crossed, held | crossed
         if not solve.any():
             break
-    return step, trial, bool(step[free & ~solve].any())
+    return step, trial, pinned
 
 
 def nlls_fit(problem: FitProblem) -> FitResult:
@@ -198,51 +208,64 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     model overshoots across a curved valley, and when 25 ever more damped
     trials all fail to lower chi^2. MAX_ITERATIONS accepted steps without
     a stop raise FitConvergenceError. The covariance is the inverse
-    Gauss-Newton normal matrix scaled by the reduced chi^2.
+    Gauss-Newton normal matrix scaled by the reduced chi^2, made exactly
+    symmetric.
+
+    Each linearization works on the weighted Jacobian J_w = J sqrt(w), one
+    buffer that the model's filler writes and the weights scale in place:
+    N = J_w J_w^T, the gradient is J_w r_w and chi^2 = r_w . r_w, with the
+    weighted residual r_w = sqrt(w) (data - model) formed in the array the
+    model returned.
     """
     bounds = problem.bounds or [(None, None)] * problem.initial_params.size
     lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
     hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
     params = np.clip(problem.initial_params, lo, hi)
-    w = problem.weights
+    data, sqrt_w = problem.data, np.sqrt(problem.weights)
 
     def evaluated(params):
-        # The model values are dropped here, and each filler right after its
+        # The weighted residual r_w = sqrt(w) (data - model) is formed in the
+        # array the model returned. The filler is dropped right after its
         # linearization or rejection: arrays kept alive across the next model
         # call leave holes at the heap top that glibc trims and re-faults.
         values, fill = problem.model(params)
-        resid = problem.data - values
-        return resid, float(w @ resid**2), fill
+        np.subtract(data, values, out=values)
+        values *= sqrt_w
+        return values, float(values @ values), fill
 
     resid, chi2, fill = evaluated(params)
     lam = LAMBDA_START
     n_iter = 0
     converged = False
 
-    # The Jacobian transpose and its weighted copy share one block per fit.
-    # Fresh buffers per step land on the heap top, and glibc trims and
-    # re-faults those pages step after step. Across fits, glibc's dynamic
-    # thresholds decide: a freed mmap-ed block sets the mmap threshold to its
-    # size and the trim threshold to twice that. Two 320 KB buffers (4001
-    # bins, 10 parameters) then free 640 KB of heap top, which reaches the
-    # trim threshold, so every fit faults them in again: about 220 minor
-    # faults per spectrum. One 640 KB block leaves a 1.28 MB trim threshold,
-    # and the next fit reuses the heap top as it is. Holding the buffers
-    # across fits would need module-level state, and still measured 370-460
-    # faults per 12-spectrum campaign.
-    jac_t, jtw = np.empty((2, params.size, w.size))
+    # One Jacobian buffer per fit, which the filler writes and the weights
+    # scale in place, at the head of a block three times its size. Fresh
+    # buffers per step land on the heap top, and glibc trims and re-faults
+    # those pages step after step. Across fits, glibc's dynamic thresholds
+    # decide: a freed mmap-ed block sets the mmap threshold to its size and
+    # the trim threshold to twice that. A fit frees the block and the model
+    # arrays above it at the heap top, 1.1-1.2 MB at 4001 bins and 10
+    # parameters. A 960 KB block sets a 1.9 MB trim threshold, above that,
+    # so the next fit reuses the heap as it is: 0-1 minor faults per warm
+    # 12-spectrum campaign in the benchmark's synthesize-then-analyze loop.
+    # A 640 KB block (1.28 MB threshold) was trimmed in about every other
+    # campaign, some 2,600 faults each time, and the 320 KB buffer alone
+    # took about 1,500 faults per campaign. Holding a buffer across fits
+    # would need module-level state.
+    jac_w = np.empty((3, params.size, sqrt_w.size))[0]
 
     def linearized(fill):
-        # Fill jac_t and jtw and return the normal matrix. The loop ends at
-        # the point of the last one built, so it also gives the covariance.
-        fill(jac_t)
-        np.multiply(jac_t, w, out=jtw)
-        return jtw @ jac_t.T
+        # Fill and weight jac_w and return the normal matrix J_w J_w^T,
+        # exactly symmetric. The loop ends at the point of the last one
+        # built, so it also gives the covariance.
+        fill(jac_w)
+        np.multiply(jac_w, sqrt_w, out=jac_w)
+        return jac_w @ jac_w.T
 
     normal = linearized(fill)
     fill = None
     while True:
-        grad = jtw @ resid
+        grad = jac_w @ resid
         # Parameters on a bound with the descent direction pointing outside
         # stay frozen this iteration; solving for them anyway makes the
         # projected step zigzag and the fit crawl. Parameters with no local
@@ -302,6 +325,8 @@ def nlls_fit(problem: FitProblem) -> FitResult:
             )
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("singular normal matrix at the solution") from exc
+    # the inverse is symmetric only to rounding; averaging makes it exact
+    cov = 0.5 * (cov + cov.T)
     result = FitResult(
         params=params,
         covariance=cov,
@@ -408,8 +433,9 @@ def _background_start(
     f_k, y_k, var_k = f[keep], spectrum.values[keep], var[keep]
     f_pivot = math.sqrt(f[0] * f[-1])
 
-    power = (f_k / f_pivot) ** -2.0
-    design = np.stack([np.ones_like(f_k), power])
+    design = np.ones((2, f_k.size))
+    power = np.divide(f_pivot, f_k, out=design[1])
+    power *= power
     weighted = design * (1.0 / var_k)
     offset, amp = np.linalg.solve(weighted @ design.T, weighted @ y_k)
     offset, amp = max(offset, 0.0), max(amp, 0.0)
@@ -459,13 +485,35 @@ def fit_background(
 # ---------------------------------------------------------------------------
 
 
+def _half_maximum_span(vals: np.ndarray, i_pk: int, half: float) -> tuple[int, int]:
+    """The bins (i_lo, i_hi) nearest the peak bin i_pk, on each side and
+    i_pk included, whose values are not above half; the array's first or
+    last bin on a side where every value is."""
+    above = vals > half
+    j_lo = int(np.argmin(above[i_pk::-1]))  # the first False, or 0
+    j_hi = int(np.argmin(above[i_pk:]))
+    i_lo = 0 if above[i_pk - j_lo] else i_pk - j_lo
+    i_hi = vals.size - 1 if above[i_pk + j_hi] else i_pk + j_hi
+    return i_lo, i_hi
+
+
 def _guess_in_window(
-    f: np.ndarray, vals: np.ndarray, f_step: float, detection: DetectionConfig
+    f: np.ndarray,
+    vals: np.ndarray,
+    f_step: float,
+    detection: DetectionConfig,
+    grid: PeakGrid | None = None,
 ) -> LineshapeCoeffs:
     """Starting point for a peak fit from the values vals at the frequencies
     f of a window: argmax frequency, half-maximum span, and a height-based
     Lorentzian weight. Raises PeakNotFoundError when the window maximum does
-    not stand out from the median."""
+    not stand out from the median.
+
+    The weight scales the height above the edge level by the unit
+    lineshape's height at the peak bin, |C|^2 L. grid, when the caller holds
+    one, is the PeakGrid of f: L is then written out for that one bin, as
+    PeakGrid.model evaluates it, on the grid's |C|^2. Without it one
+    peak_model call on the peak bin gives the height."""
     level = median(vals)
     i_pk = int(np.argmax(vals))  # leftmost on exact ties
     peak = float(vals[i_pk])
@@ -473,21 +521,23 @@ def _guess_in_window(
         raise PeakNotFoundError("no peak in window")
     edge = np.concatenate([vals[: max(vals.size // 20, 3)], vals[-max(vals.size // 20, 3):]])
     a0 = median(edge)
-    half = a0 + (peak - a0) / 2.0
-    i_lo = i_pk
-    while i_lo > 0 and vals[i_lo] > half:
-        i_lo -= 1
-    i_hi = i_pk
-    while i_hi < vals.size - 1 and vals[i_hi] > half:
-        i_hi += 1
+    i_lo, i_hi = _half_maximum_span(vals, i_pk, a0 + (peak - a0) / 2.0)
     gamma_hz = max((i_hi - i_lo) * f_step, 2.0 * f_step)
     omega_eff = TWO_PI * float(f[i_pk])
     gamma_eff = TWO_PI * gamma_hz
-    unit = LineshapeCoeffs(
-        a0=0.0, a2=1.0, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
+    if grid is None:
+        unit = LineshapeCoeffs(
+            a0=0.0, a2=1.0, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
+        )
+        height = float(peak_model(f[i_pk : i_pk + 1], unit, detection)[0])
+    else:
+        w, half = float(grid.w[i_pk]), gamma_eff / 2.0
+        u_p, u_m = w - omega_eff, -omega_eff - w
+        lor = half * (1.0 / (u_p * u_p + half * half) + 1.0 / (u_m * u_m + half * half))
+        height = float(grid.c_sq[i_pk]) * lor
+    return LineshapeCoeffs(
+        a0=a0, a2=(peak - a0) / height, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
     )
-    a2 = (peak - a0) / float(peak_model(f[i_pk : i_pk + 1], unit, detection)[0])
-    return replace(unit, a0=a0, a2=a2)
 
 
 def _effective_area(
@@ -498,14 +548,17 @@ def _effective_area(
     covariance is the 2x2 block over (a2, a3).
     """
     tan_t = math.tan(theta)
+    c00, c01 = float(covariance[0, 0]), float(covariance[0, 1])
+    c10, c11 = float(covariance[1, 0]), float(covariance[1, 1])
     if tan_t == 0.0:
         if a3 != 0.0:
             raise ValueError("a_eff undefined: tan(theta) = 0 with a3 != 0")
-        return a2, math.sqrt(max(covariance[0, 0], 0.0))
-    grad = np.array([1.0, 1.0 / tan_t])
-    value = a2 + a3 / tan_t
-    var = float(grad @ np.asarray(covariance) @ grad)
-    return value, math.sqrt(max(var, 0.0))
+        return a2, math.sqrt(max(c00, 0.0))
+    # the form g.C.g with g = (1, 1/tan), in scalars, so that its bits do
+    # not depend on the block's memory layout as a BLAS kernel's would
+    g = 1.0 / tan_t
+    var = (c00 + g * c10) + g * (c01 + g * c11)
+    return a2 + a3 / tan_t, math.sqrt(max(var, 0.0))
 
 
 def _kept_bins(
@@ -527,8 +580,6 @@ def _peak_result(fit: FitResult, rows, theta, window, keep):
     in LineshapeCoeffs.as_array() order and whose others are nuisance ones,
     fitted to the bins that keep marks."""
     coeffs = LineshapeCoeffs.from_array(fit.params[rows])
-    # Fortran-ordered, as analyze_peak's block has always been: the BLAS
-    # kernel of _effective_area's 2x2 form, and so a_eff's last bit, follows it
     covariance = fit.covariance[rows][:, rows]
     a_eff, a_eff_sigma = _effective_area(
         coeffs.a2, coeffs.a3, theta, covariance[1:3, 1:3]
@@ -543,7 +594,7 @@ def _peak_result(fit: FitResult, rows, theta, window, keep):
         theta=theta,
         window=window,
         n_points=int(keep.sum()),
-        n_excluded=int((~keep).sum()),
+        n_excluded=keep.size - int(keep.sum()),
     )
 
 
@@ -555,12 +606,13 @@ def _with_lineshape(background, k: int, grid: PeakGrid):
     def model(p):
         level, fill_level = background(p[:k])
         peak, fill_peak = grid.model(p[k:])
+        level += peak
 
         def fill(jac_t):
             fill_level(jac_t[:k])
             fill_peak(jac_t[k:])
 
-        return level + peak, fill
+        return level, fill
 
     return model
 
@@ -915,7 +967,9 @@ def analyze_peak(
 
     a0 is the only flat level, so the background has tail_offset = 0.
     window is the peak's reach, the fitted centre +- max(15 effective
-    widths, 60 bins) clipped to the band.
+    widths, 60 bins) clipped to the band. A fit whose gamma_eff ends on its
+    lower bound of one bin, 2 pi f_step, raises PeakNotFoundError: it has
+    fitted a spike, not a resolved peak.
 
     grid is PeakGrid(spectrum.frequencies, detection), built here when it is
     None; spectra on one grid can share it. A grid built for other
@@ -934,7 +988,7 @@ def analyze_peak(
     # the peak's start, from the search window of the start-subtracted values
     sl = spectrum.window_slice(*search_window)
     clean = spectrum.values[sl] - BackgroundModel.on_grid(f[sl], f_pivot)(params)[0]
-    init = _guess_in_window(f[sl], clean, spectrum.f_step, detection)
+    init = _guess_in_window(f[sl], clean, spectrum.f_step, detection, grid[sl])
 
     keep = _kept_bins(spectrum, f, level, init, exclusion_windows)
     f_k = f[keep]
@@ -958,6 +1012,13 @@ def analyze_peak(
         )
     )
     p = fit.params
+    if p[9] <= bounds[9][0]:
+        # a width of one bin is a spike or a bump too narrow to resolve, and
+        # its area is no measure of a mechanical peak
+        raise PeakNotFoundError(
+            f"fitted gamma_eff/2pi ended on its lower bound of one bin "
+            f"({spectrum.f_step:g} Hz): no resolved peak"
+        )
     f_pk = p[8] / TWO_PI
     half = max(15.0 * p[9] / TWO_PI, 60.0 * spectrum.f_step)
     window = (max(f_pk - half, f[0]), min(f_pk + half, f[-1]))

@@ -77,7 +77,12 @@ def median(values: np.ndarray) -> float:
     part = np.partition(values, [lo, mid, -1] if lo < mid else [mid, -1])
     if math.isnan(part[-1]):
         return float(part[-1])
-    return float(part[lo : mid + 1].mean())
+    # part[lo : mid + 1].mean() without its overhead: a sum from +0.0, as
+    # numpy's reduction starts, over the count
+    total = 0.0 + float(part[lo])
+    if lo < mid:
+        total += float(part[mid])
+    return total / (mid - lo + 1)
 
 
 class SpectrumUnits(enum.Enum):
@@ -172,25 +177,30 @@ class BackgroundModel:
         # and h = width / 2; d lobe/d center = 2 d lobe / den and
         # d lobe/d width = h d^2 / den^2 = (d^2 / h) lobe / den
         def model(p):
-            tail_amp, power = p[1], np.exp(-p[2] * log_x)
-            amp, d, h = p[5], f - p[3], p[4] / 2.0
+            tail_amp, amp, h = p[1], p[5], p[4] / 2.0
+            power = np.multiply(log_x, -p[2])
+            np.exp(power, out=power)
+            d = f - p[3]
             d_sq = d * d
             den = d_sq + h**2
             lobe = h**2 / den
+            values = power * tail_amp
+            values += p[0]
+            values += amp * lobe
 
             def fill(jac_t):
                 jac_t[0] = 1.0
                 jac_t[1] = power
                 np.multiply(power, -tail_amp, out=jac_t[2])
                 jac_t[2] *= log_x
-                per_den = lobe / den
+                per_den = np.divide(lobe, den, out=jac_t[5])  # row 5 as working space
                 np.multiply(d, 2.0 * amp, out=jac_t[3])
                 jac_t[3] *= per_den
                 np.multiply(d_sq, amp / h, out=jac_t[4])
                 jac_t[4] *= per_den
                 jac_t[5] = lobe
 
-            return p[0] + tail_amp * power + amp * lobe, fill
+            return values, fill
 
         return model
 
@@ -296,19 +306,25 @@ def _lineshapes(w: np.ndarray, omega_eff: float, gamma_eff: float):
     Each is a sum over the +w and -w resonance lobes, with detuning
     u = +-w - omega_eff and q = 1/(u^2 + h^2), h = gamma_eff/2, so that
     L = h Q and D = sum u q with Q = sum q. Returns L, D and the lobe terms
-    (h, u+, u-, q+, q-, Q) that the Jacobian filler of PeakGrid.model uses:
-    since u^2 q = 1 - h^2 q on each lobe, every derivative of L and D is a
-    sum of Q, sum q^2 and sum u q^2. Each lobe of L carries area 1/2 over
-    f = w/2pi for narrow peaks; D is odd about the peak up to the mirrored
-    lobe.
+    (h, uq+, uq-, q+, q-, Q) that the Jacobian filler of PeakGrid.model
+    uses: since u^2 q = 1 - h^2 q on each lobe, every derivative of L and D
+    is a sum of Q, sum q^2 and sum (u q) q. Each lobe of L carries area 1/2
+    over f = w/2pi for narrow peaks; D is odd about the peak up to the
+    mirrored lobe. w is an array; the lobe terms are built in place.
     """
     half = gamma_eff / 2.0
-    u_p = w - omega_eff
-    u_m = -omega_eff - w  # the bits of -w - omega_eff, in one pass
-    q_p = 1.0 / (u_p**2 + half**2)
-    q_m = 1.0 / (u_m**2 + half**2)
+    uq_p = w - omega_eff  # u+, made u+ q+ below
+    uq_m = -omega_eff - w  # the bits of -w - omega_eff, in one pass
+    q_p = uq_p * uq_p
+    q_p += half**2
+    np.divide(1.0, q_p, out=q_p)
+    q_m = uq_m * uq_m
+    q_m += half**2
+    np.divide(1.0, q_m, out=q_m)
+    uq_p *= q_p
+    uq_m *= q_m
     q_sum = q_p + q_m
-    return half * q_sum, u_p * q_p + u_m * q_m, (half, u_p, u_m, q_p, q_m, q_sum)
+    return half * q_sum, uq_p + uq_m, (half, uq_p, uq_m, q_p, q_m, q_sum)
 
 
 class PeakGrid:
@@ -346,23 +362,38 @@ class PeakGrid:
         so the two nonlinear rows cost S and Q - 2 h^2 T alone."""
         a2, a3, omega_eff, gamma_eff = params
         c_sq = self.c_sq
-        lor, disp, (half, u_p, u_m, q_p, q_m, q_sum) = _lineshapes(
+        lor, disp, (half, uq_p, uq_m, q_p, q_m, q_sum) = _lineshapes(
             self.w, omega_eff, gamma_eff
         )
+        values = lor * a2
+        values += a3 * disp
+        values *= c_sq
 
         def fill(jac_t):
+            # rows 2 and 3 are built in place from c_s = |C|^2 S and
+            # c_r = |C|^2 (Q - 2 h^2 T), with rows 0 and 1 as working space
+            c_s, c_r, work, other = jac_t[2], jac_t[3], jac_t[0], jac_t[1]
+            np.multiply(uq_p, q_p, out=c_s)
+            np.multiply(uq_m, q_m, out=work)
+            c_s += work
+            c_s *= c_sq
+            np.multiply(q_p, q_p, out=c_r)
+            np.multiply(q_m, q_m, out=work)
+            c_r += work
+            c_r *= 2.0 * half**2
+            np.subtract(q_sum, c_r, out=c_r)
+            c_r *= c_sq
+            # rows a2 (dL/dw) + a3 (dD/dw) and a2 (dL/dG) + a3 (dD/dG)
+            np.multiply(c_r, a3, out=work)
+            np.multiply(c_s, a3 * half, out=other)
+            c_s *= 2.0 * a2 * half
+            c_s += work
+            c_r *= 0.5 * a2
+            c_r -= other
             np.multiply(c_sq, lor, out=jac_t[0])
             np.multiply(c_sq, disp, out=jac_t[1])
-            t_p, t_m = q_p * q_p, q_m * q_m
-            c_s = c_sq * (u_p * t_p + u_m * t_m)
-            c_r = c_sq * (q_sum - 2.0 * half**2 * (t_p + t_m))
-            # rows a2 (dL/dw) + a3 (dD/dw) and a2 (dL/dG) + a3 (dD/dG)
-            np.multiply(c_s, 2.0 * a2 * half, out=jac_t[2])
-            jac_t[2] += a3 * c_r
-            np.multiply(c_r, 0.5 * a2, out=jac_t[3])
-            jac_t[3] -= a3 * half * c_s
 
-        return c_sq * (a2 * lor + a3 * disp), fill
+        return values, fill
 
 
 def peak_model(

@@ -134,3 +134,15 @@ def background_jacobian_reference(f, params):
             half**2 / den,
         ]
     )
+
+
+def half_maximum_span_reference(vals, i_pk, half):
+    """The half-maximum span as a walk outward from the peak bin i_pk: each
+    side stops at the first bin not above half, or at the array's end."""
+    i_lo = i_pk
+    while i_lo > 0 and vals[i_lo] > half:
+        i_lo -= 1
+    i_hi = i_pk
+    while i_hi < len(vals) - 1 and vals[i_hi] > half:
+        i_hi += 1
+    return i_lo, i_hi

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -130,3 +131,30 @@ def peak_record(gamma_eff, a_eff, a3_sigma=1.0):
         n_points=1200,
         n_excluded=0,
     )
+
+
+def spiked_tail_spectrum(seed=0, floor=3.5e-3):
+    """A 200-average spectrum of the campaign's background alone, the flat
+    floor, the 1/f^2 tail and the beat note, on the campaign grid, with one
+    bin at 250 kHz raised to 30 times its expected level: no mechanical
+    peak, only a one-bin spike in the search window."""
+    mode_f = 256e3
+    background = spectra.BackgroundModel(
+        tail_offset=floor,
+        tail_amplitude=floor * mode_f**2,
+        tail_exponent=2.0,
+        beat_center=mode_f + 45e3,
+        beat_width=2e3,
+        beat_amplitude=200.0 * floor,
+    )
+    f = (mode_f - 100e3) + 50.0 * np.arange(4001)
+    level = spectra.evaluate_background(background, f)
+    model = spectra.Spectrum(
+        f_start=mode_f - 100e3, f_step=50.0, values=level,
+        units=spectra.SpectrumUnits.HZ2_PER_HZ,
+    )
+    noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=seed)
+    values = noisy.values.copy()
+    i = int(round((250e3 - f[0]) / 50.0))
+    values[i] = 30.0 * level[i]
+    return dataclasses.replace(noisy, values=values)

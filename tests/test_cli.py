@@ -13,7 +13,7 @@ from sidecool import cli, dataio, fitting, report, spectra
 from sidecool.dataio import ExperimentConfig
 from sidecool.spectra import CalibrationTone
 
-from conftest import peak_record, published_cavity, run_campaign
+from conftest import peak_record, published_cavity, run_campaign, spiked_tail_spectrum
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,6 +221,25 @@ def test_fit_peak_fails_cleanly_without_peak(tmp_path, config_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err.lower()
+
+
+def test_fit_peak_rejects_a_one_bin_width(tmp_path, config_path, capsys):
+    """A spectrum whose only feature in the search window is a one-bin spike
+    fits a width on its lower bound: fit-peak exits 1 with one error line
+    and writes no fragment. The config has no calibration tone, so the
+    spectrum is fitted as written."""
+    config = _config_without(config_path, tmp_path, "calibration_tone")
+    path = tmp_path / "spiked.csv"
+    dataio.write_spectrum(spiked_tail_spectrum(), path)
+    code = _run(
+        [
+            "fit-peak", "--config", config,
+            "--spectrum", str(path), "--out", str(tmp_path / "frag.json"),
+        ]
+    )
+    assert code == 1
+    assert "lower bound of one bin" in _one_error_line(capsys)
+    assert not (tmp_path / "frag.json").exists()
 
 
 def test_fit_peak_reports_degenerate_fit(tmp_path, config_path, capsys, monkeypatch):
