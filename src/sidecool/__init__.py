@@ -23,7 +23,6 @@ from .physics import (
     excess_occupancy,
     min_occupancy,
     optical_damping,
-    required_quality_factor,
     sideband_angle,
     spring_shift,
     thermal_occupation,

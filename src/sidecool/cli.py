@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--f-stop-hz", type=float, default=None)
     p_synth.add_argument("--f-step-hz", type=float, default=25.0)
     p_synth.add_argument("--floor", type=float, default=1e-4, help="flat PSD floor (Hz^2/Hz)")
-    p_synth.add_argument("--no-background", action="store_true")
     p_synth.add_argument("--beat-center-hz", type=float, default=None)
     p_synth.add_argument("--beat-amplitude", type=float, default=None)
     p_synth.add_argument("--tail-amplitude", type=float, default=None)
@@ -223,7 +222,6 @@ def cmd_synth(args) -> int:
             floor = max(floor, 1.3 * abs(dip))
     if floor > args.floor:
         _log(f"raising PSD floor to {floor:.3g} Hz^2/Hz to keep the model positive")
-    background = None if args.no_background else _default_background(mode_f, floor, args)
 
     specs, truth = spectra.synthesize_campaign(
         mode=mode,
@@ -238,7 +236,7 @@ def cmd_synth(args) -> int:
         n_averages=args.n_averages,
         seed=args.seed,
         floor=floor,
-        background=background,
+        background=_default_background(mode_f, floor, args),
         tone=tone,
     )
 

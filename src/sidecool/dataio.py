@@ -14,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -135,12 +134,10 @@ def _header_value(path: Path, header: dict[str, str], key: str, parse):
 
 
 def read_spectrum(path: str | Path) -> Spectrum:
-    """Read a spectrum file.
-
-    A headerless two-column file is accepted as a legacy fallback: the grid
-    is inferred from the frequency column, units are tagged raw, and a
-    warning is emitted.
-    """
+    """Read a spectrum file. Its header must give units, n_averages, f_start
+    and f_step: a file without them raises MissingHeaderError, since its
+    scale and its number of averages, which set the fit weights, are
+    unknown."""
     path = Path(path)
     header: dict[str, str] = {}
     metadata: dict = {}
@@ -196,26 +193,13 @@ def read_spectrum(path: str | Path) -> Spectrum:
             f"{path}:{linenos[bad]}: non-finite value"
         )
 
-    legacy = not header
-    if legacy:
-        if len(linenos) < 2:
-            raise MissingHeaderError(f"{path}: missing header and too short to infer grid")
-        f_start = float(freqs[0])
-        f_step = float(freqs[1] - freqs[0])
-        units = SpectrumUnits.RAW
-        n_averages = 1
-        warnings.warn(
-            f"{path}: headerless legacy file, assuming raw units and 1 average",
-            stacklevel=2,
-        )
-    else:
-        missing = [k for k in _REQUIRED_KEYS if k not in header]
-        if missing:
-            raise MissingHeaderError(f"{path}: missing header keys {missing}")
-        units = _header_value(path, header, "units", SpectrumUnits)
-        n_averages = _header_value(path, header, "n_averages", int)
-        f_start = _header_value(path, header, "f_start", float)
-        f_step = _header_value(path, header, "f_step", float)
+    missing = [k for k in _REQUIRED_KEYS if k not in header]
+    if missing:
+        raise MissingHeaderError(f"{path}: missing header keys {missing}")
+    units = _header_value(path, header, "units", SpectrumUnits)
+    n_averages = _header_value(path, header, "n_averages", int)
+    f_start = _header_value(path, header, "f_start", float)
+    f_step = _header_value(path, header, "f_step", float)
 
     try:
         spectrum = Spectrum(
@@ -455,7 +439,6 @@ _CAVITY = (
     ("detuning", "detuning_hz", HZ),
     ("cavity_length", "length_m", NUMBER),
     ("laser_frequency", "laser_frequency_hz", NUMBER),
-    ("input_transmission_ppm", "input_transmission_ppm", NUMBER),
 )
 _MODE = (
     ("omega_m", "frequency_hz", HZ),

@@ -32,7 +32,6 @@ __all__ = [
     "excess_occupancy",
     "effective_occupancy",
     "min_occupancy",
-    "required_quality_factor",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -45,7 +44,8 @@ ArrayLike = Union[float, np.ndarray]
 
 
 class InstabilityError(ValueError):
-    """Anti-damped regime: total mechanical width is not positive."""
+    """No steady state: the total mechanical width, or the spring-shifted
+    frequency, is not positive."""
 
 
 # Range checks, written so that NaN fails them.
@@ -71,13 +71,12 @@ class CavitySpec:
     detuning: float
     cavity_length: float | None = None
     laser_frequency: float | None = None
-    input_transmission_ppm: float | None = None
 
     def __post_init__(self) -> None:
         _check_positive("kappa", self.kappa)
         if not math.isfinite(self.detuning):
             raise ValueError(f"detuning must be finite, got {self.detuning!r}")
-        for name in ("cavity_length", "laser_frequency", "input_transmission_ppm"):
+        for name in ("cavity_length", "laser_frequency"):
             if getattr(self, name) is not None:
                 _check_positive(name, getattr(self, name))
 
@@ -308,6 +307,12 @@ def effective_occupancy(
             n_th=n_th, n_ba=0.0, n_exc=0.0, n_eff=n_th,
             gamma_eff=gamma_eff, omega_eff=mode.omega_m, gamma_opt=0.0,
         )
+    omega_eff = spring_shift(cavity, mode, drive)
+    if omega_eff <= 0:
+        raise InstabilityError(
+            f"optical spring takes omega_eff/2pi to {omega_eff / TWO_PI:.4g} Hz "
+            "<= 0: statically unstable, no steady state"
+        )
     n_ba = backaction_occupancy(cavity, mode.omega_m)
     theta = sideband_angle(cavity, mode.omega_m)
     a_fac = amplitude_factor(cavity, mode.omega_m)
@@ -321,7 +326,6 @@ def effective_occupancy(
     )
     n_exc = n_exc_phase + n_exc_amp
     n_eff = (mode.gamma_m / gamma_eff) * n_th + (gamma_opt / gamma_eff) * (n_ba + n_exc)
-    omega_eff = spring_shift(cavity, mode, drive)
     return OccupancyBudget(
         n_th=n_th,
         n_ba=n_ba,
@@ -359,23 +363,3 @@ def min_occupancy(
     gamma_min = 2.0 * g0 * root / mode.omega_m / math.sqrt(coupling)
     return n_min, gamma_min
 
-
-def required_quality_factor(
-    target_n_min: float,
-    mode: MechMode,
-    cavity: CavitySpec,
-    g0: float,
-    noise: LaserNoise,
-) -> tuple[float, bool]:
-    """Quality factor needed to push n_min down to a target, all else fixed.
-
-    n_min scales as sqrt(Gamma_m) = sqrt(Omega_m / Q), so the answer is
-    Q (n_min / target)^2. Returns (q_required, already_met); when the target
-    is already met the current Q is returned with already_met=True.
-    """
-    if target_n_min <= 0:
-        raise ValueError("target occupancy must be positive")
-    n_min_now, _ = min_occupancy(mode, cavity, g0, noise)
-    if target_n_min >= n_min_now:
-        return mode.q_factor, True
-    return mode.q_factor * (n_min_now / target_n_min) ** 2, False

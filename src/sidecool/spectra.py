@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import operator
 import warnings
 from dataclasses import astuple, dataclass, field, replace
 from typing import Union
@@ -88,7 +89,6 @@ def median(values: np.ndarray) -> float:
 class SpectrumUnits(enum.Enum):
     RAW = "raw_volts2"
     HZ2_PER_HZ = "hz2_per_hz"
-    NORMALIZED_MODEL = "normalized_model"
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,8 @@ class CalibrationTone:
 @dataclass(frozen=True)
 class Spectrum:
     """One-sided PSD on a uniform frequency grid; a value, changed only by
-    dataclasses.replace."""
+    dataclasses.replace. f_start and f_step are held as Python floats and
+    n_averages as an int, whatever number types they were given as."""
 
     f_start: float
     f_step: float
@@ -244,6 +245,9 @@ class Spectrum:
             raise ValueError("f_step must be positive and finite")
         if self.n_averages < 1:
             raise ValueError("n_averages must be at least 1")
+        object.__setattr__(self, "f_start", float(self.f_start))
+        object.__setattr__(self, "f_step", float(self.f_step))
+        object.__setattr__(self, "n_averages", operator.index(self.n_averages))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrum values must be finite")
 
@@ -474,10 +478,8 @@ def output_psd(
             "peak digs below the chosen floor; raise floor above the detected "
             "laser-noise level"
         )
-    units = SpectrumUnits.NORMALIZED_MODEL
     if background is not None:
         values = values + evaluate_background(background, f)
-        units = SpectrumUnits.HZ2_PER_HZ
     meta = {
         "n_eff": budget.n_eff,
         "gamma_eff_hz": budget.gamma_eff / TWO_PI,
@@ -489,7 +491,7 @@ def output_psd(
         f_start=f_start,
         f_step=f_step,
         values=values,
-        units=units,
+        units=SpectrumUnits.HZ2_PER_HZ,
         n_averages=1,
         metadata=meta,
     )
@@ -550,8 +552,7 @@ def synthesize_campaign(
             f_start, f_step, n_bins, mode, cavity, drive, noise, detection,
             floor=floor, background=background,
         )
-        measured = synthesize_measured_spectrum(model, n_averages, rng, tone=tone)
-        spectra.append(replace(measured, units=SpectrumUnits.HZ2_PER_HZ))
+        spectra.append(synthesize_measured_spectrum(model, n_averages, rng, tone=tone))
         md = model.metadata
         g_hz = g0 / TWO_PI
         truth.append(

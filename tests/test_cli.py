@@ -122,6 +122,7 @@ def _config_without(config_path, tmp_path, key) -> str:
         ("--beat-amplitude", "inf"),
         ("--gamma-opt-hz", "1000,nan,3000"),
         ("--gamma-opt-hz", "1000,-500,3000"),  # an unstable drive point
+        ("--gamma-opt-hz", "200e3"),  # past the spring's static limit, about 153 kHz
         ("--n-averages", "0"),
         ("--f-start-hz", "400e3"),  # above the default stop, 356 kHz
         ("--f-stop-hz", "300e3"),  # below the config's 340 kHz tone
@@ -353,6 +354,10 @@ _BAD_CONFIG_VALUES = {
         ("modes", 0, "temperatur_k"), 300.0, ["modes has unknown key 'temperatur_k'"]
     ),
     "config-unknown-key": (("g0_hz_",), 2.1, ["has unknown key 'g0_hz_'"]),
+    "config-input-transmission": (
+        ("cavity", "input_transmission_ppm"), 20.0,
+        ["cavity has unknown key 'input_transmission_ppm'"],
+    ),
     "config-string-temperature": (
         ("modes", 0, "temperature_k"), "300", ["temperature_k must be a number", "'300'"]
     ),
@@ -789,6 +794,26 @@ def test_predict_gamma_opt_sweep_has_minimum(tmp_path, config_path):
     # interior minimum: the optimum damping lies inside the sweep
     i_min = int(np.argmin(n_eff))
     assert 0 < i_min < n_eff.size - 1
+
+
+def test_predict_gamma_opt_sweep_flags_the_spring_instability(tmp_path, config_path):
+    """Rows past the drive where the optical spring takes omega_eff to 0
+    (about 153 kHz) are flagged unstable, with NaN values; the row below it
+    is ok."""
+    out = tmp_path / "gsweep.tsv"
+    code = _run(
+        [
+            "predict", "--config", config_path,
+            "--sweep", "gamma-opt", "--min", "50e3", "--max", "400e3",
+            "--points", "4", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    header, *rows = [ln.split("\t") for ln in out.read_text().splitlines()]
+    assert [row[-1] for row in rows] == ["ok", "unstable", "unstable", "unstable"]
+    i_neff = header.index("n_eff")
+    assert float(rows[0][i_neff]) > 0
+    assert all(row[i_neff] == "nan" for row in rows[1:])
 
 
 def test_predict_quality_factor_sweep_scales_n_min(tmp_path, config_path):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidecool as sc
 from sidecool import dataio, spectra
@@ -80,14 +82,49 @@ def test_bool_and_none_metadata_round_trip(tmp_path):
     }
 
 
-def test_legacy_headerless_file_warns_and_tags_raw(tmp_path):
-    path = tmp_path / "legacy.dat"
+def test_headerless_file_raises_missing_header(tmp_path):
+    """A two-column file without a header is refused, naming the four keys
+    it lacks, rather than read with made-up units and number of averages."""
+    path = tmp_path / "headerless.dat"
     path.write_text("100.0 2.0\n110.0 3.0\n120.0 4.0\n")
-    with pytest.warns(UserWarning, match="legacy"):
-        spec = dataio.read_spectrum(path)
-    assert spec.units == SpectrumUnits.RAW
-    assert spec.f_start == 100.0 and spec.f_step == 10.0
-    assert np.array_equal(spec.values, [2.0, 3.0, 4.0])
+    with pytest.raises(
+        MissingHeaderError, match=r"\['units', 'n_averages', 'f_start', 'f_step'\]"
+    ):
+        dataio.read_spectrum(path)
+
+
+_FLOAT_TYPES = st.sampled_from([float, np.float64, np.float32])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f_start=st.tuples(_FLOAT_TYPES, st.floats(0.0, 1e7)),
+    f_step=st.tuples(_FLOAT_TYPES, st.floats(1e-3, 1e4)),
+    n_averages=st.tuples(
+        st.sampled_from([int, np.int64, np.int32, np.uint16]), st.integers(1, 10_000)
+    ),
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20
+    ),
+)
+def test_spectrum_round_trip_with_numpy_scalars(tmp_path_factory, f_start, f_step,
+                                                n_averages, values):
+    """Grid scalars and n_averages given as Python or numpy numbers are held
+    as a float and an int, so the file write_spectrum writes reads back as
+    the same grid, number of averages and values."""
+    (start_type, start), (step_type, step), (count_type, count) = f_start, f_step, n_averages
+    spec = Spectrum(
+        f_start=start_type(start), f_step=step_type(step), values=values,
+        units=SpectrumUnits.HZ2_PER_HZ, n_averages=count_type(count),
+    )
+    assert (type(spec.f_start), type(spec.f_step), type(spec.n_averages)) == (float, float, int)
+    path = tmp_path_factory.mktemp("round_trip") / "s.csv"
+    dataio.write_spectrum(spec, path)
+    back = dataio.read_spectrum(path)
+    assert back.f_start == float(start_type(start))
+    assert back.f_step == float(step_type(step))
+    assert back.n_averages == count
+    assert np.array_equal(back.values, np.asarray(values, dtype=float))
 
 
 def test_missing_header_keys_raise(tmp_path):
@@ -341,3 +378,26 @@ def test_readme_config_example_loads(tmp_path):
     assert config.cavity.kappa == TWO_PI * 204e3
     assert config.mode(0).q_factor == 1.18e7
     assert config.g0 == TWO_PI * 2.1
+
+
+def test_readme_config_table_lists_every_declared_key():
+    """The key column of README's "Config schema" table holds, section by
+    section, exactly the keys of dataio's config field tables, so a key
+    added or removed there cannot leave the docs stale."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Config schema", 1)[1].split("| section | key |", 1)[1]
+    listed, section = set(), None
+    for line in table.splitlines()[2:]:  # after the header's rest and the |---| line
+        if not line.startswith("|"):
+            break
+        cell, key = line.split("|")[1:3]
+        if cell.strip():
+            section = cell.split("`")[1] if "`" in cell else cell.strip()
+        listed.add((section, key.strip().strip("`")))
+    sections = {
+        "cavity": dataio._CAVITY, "modes": dataio._MODE, "detection": dataio._DETECTION,
+        "noise": dataio._NOISE, "calibration_tone": dataio._TONE,
+    }
+    declared = {(name, key) for name, rows in sections.items() for _, key, _ in rows}
+    declared |= {("top level", key) for _, key, _ in dataio._CONFIG if key not in sections}
+    assert listed == declared

@@ -186,6 +186,25 @@ def test_instability_raises_for_strong_blue_drive(mode01):
         sc.effective_occupancy(mode01, blue, drive, LaserNoise())
 
 
+def test_spring_instability_raises(cavity, mode01, phase_noise):
+    """The weak-coupling spring shift is linear in gamma_opt; past the drive
+    where it takes omega_eff to zero there is no steady state. For mode
+    (0,1) at the published detuning that limit is about 153 kHz."""
+    g0 = TWO_PI * 2.1
+
+    def budget(gamma_opt_hz):
+        drive = DriveField(g0=g0, gamma_opt=TWO_PI * gamma_opt_hz)
+        return sc.effective_occupancy(mode01, cavity, drive, phase_noise)
+
+    slope = (budget(1e3).omega_eff - mode01.omega_m) / (TWO_PI * 1e3)
+    limit_hz = -mode01.omega_m / slope / TWO_PI
+    assert 150e3 < limit_hz < 156e3
+    assert budget(0.99 * limit_hz).omega_eff > 0
+    for gamma_opt_hz in (1.01 * limit_hz, 200e3):
+        with pytest.raises(InstabilityError, match="omega_eff"):
+            budget(gamma_opt_hz)
+
+
 @settings(max_examples=100)
 @given(kappa=kappas, detuning=detunings, om=mech_freqs,
        s_phi=st.floats(1e-15, 1e-11))
@@ -221,18 +240,6 @@ def test_min_occupancy_optimum_is_a_minimum(cavity, mode01, phase_noise):
     assert at_opt == pytest.approx(n_min, rel=1e-3)
     assert occupancy_at(0.5 * gamma_min) > at_opt
     assert occupancy_at(2.0 * gamma_min) > at_opt
-
-
-def test_required_quality_factor_scaling(cavity, mode01, phase_noise):
-    g0 = TWO_PI * 2.1
-    n_now, _ = sc.min_occupancy(mode01, cavity, g0, phase_noise)
-    q_req, met = sc.required_quality_factor(n_now / 10, mode01, cavity, g0, phase_noise)
-    assert not met
-    assert q_req == pytest.approx(100 * mode01.q_factor, rel=1e-10)
-    q_same, met_same = sc.required_quality_factor(
-        2 * n_now, mode01, cavity, g0, phase_noise
-    )
-    assert met_same and q_same == mode01.q_factor
 
 
 def test_sideband_angle_and_amplitude_factor_regressions(cavity):

@@ -162,6 +162,19 @@ def test_output_psd_metadata_and_peak_location(cavity, mode01, phase_noise, dete
     assert md["gamma_eff_hz"] == pytest.approx(mode01.gamma_m / TWO_PI + 3e3, rel=1e-6)
 
 
+def test_zero_background_is_no_background(cavity, mode01, phase_noise, detection):
+    """A background whose tail and beat amplitudes are 0 adds nothing: the
+    model PSD equals the one without a background bit for bit, and both are
+    tagged Hz^2/Hz."""
+    empty = BackgroundModel(
+        tail_amplitude=0.0, beat_center=301e3, beat_width=2e3, beat_amplitude=0.0
+    )
+    bare = _model(cavity, mode01, detection, phase_noise, 3e3, floor=5e-3)
+    zero = _model(cavity, mode01, detection, phase_noise, 3e3, floor=5e-3, background=empty)
+    assert zero.values.tobytes() == bare.values.tobytes()
+    assert zero.units is bare.units is SpectrumUnits.HZ2_PER_HZ
+
+
 def test_output_psd_warns_on_coarse_grid(cavity, mode01, phase_noise, detection):
     drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * 200.0)
     with pytest.warns(UserWarning, match="bins per effective width"):
