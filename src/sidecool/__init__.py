@@ -22,7 +22,6 @@ from .physics import (
     effective_occupancy,
     excess_occupancy,
     min_occupancy,
-    optical_damping,
     sideband_angle,
     spring_shift,
     thermal_occupation,

@@ -287,6 +287,9 @@ def cmd_fit_peak(args) -> int:
     spectrum = dataio.read_spectrum(args.spectrum)
     if config.calibration_tone is not None:
         spectrum = dataio.calibrate_with_tone(spectrum, config.calibration_tone)
+    if spectrum.units is not spectra.SpectrumUnits.HZ2_PER_HZ:
+        units = spectrum.units.value
+        return _fail(f"{args.spectrum}: units {units!r} need the config's calibration_tone")
     mode_f = mode.omega_m / TWO_PI
     window = tuple(args.window_hz) if args.window_hz else (mode_f - 30e3, mode_f + 30e3)
     try:
@@ -494,7 +497,16 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CONVERT_RULES = (
+    ("value", "must be finite and not negative", lambda v: 0 <= v < math.inf),
+    ("frequency_hz", "must be positive and finite", lambda v: 0 < v < math.inf),
+)
+
+
 def cmd_convert(args) -> int:
+    error = _broken_rule(args, _CONVERT_RULES)
+    if error:
+        return _fail(error)
     quantity = args.quantity
     if quantity in ("snn-to-sphiphi", "sphiphi-to-snn"):
         if args.frequency_hz is None:

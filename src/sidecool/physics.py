@@ -23,8 +23,6 @@ __all__ = [
     "InstabilityError",
     "thermal_occupation",
     "chi_c",
-    "photon_flux",
-    "optical_damping",
     "spring_shift",
     "sideband_angle",
     "amplitude_factor",
@@ -120,22 +118,16 @@ class MechMode:
 
 @dataclass(frozen=True)
 class DriveField:
-    """Cooling-beam drive, specified by single-photon coupling g0 plus
-    exactly one of the input photon flux or the optical damping rate."""
+    """Cooling-beam drive: single-photon coupling g0 and the optical damping
+    rate gamma_opt it gives, positive for red detuning."""
 
     g0: float
-    input_photon_flux: float | None = None
-    gamma_opt: float | None = None
+    gamma_opt: float
 
     def __post_init__(self) -> None:
         _check_positive("g0", self.g0)
-        given = (self.input_photon_flux is not None) + (self.gamma_opt is not None)
-        if given != 1:
-            raise ValueError(
-                "exactly one of input_photon_flux, gamma_opt must be given"
-            )
-        if self.input_photon_flux is not None and self.input_photon_flux < 0:
-            raise ValueError("input_photon_flux must be non-negative")
+        if not math.isfinite(self.gamma_opt):
+            raise ValueError(f"gamma_opt must be finite, got {self.gamma_opt!r}")
 
 
 @dataclass(frozen=True)
@@ -180,52 +172,23 @@ def chi_c(omega: ArrayLike, cavity: CavitySpec) -> complex | np.ndarray:
     return 1.0 / (-1j * (omega + cavity.detuning) + cavity.kappa / 2.0)
 
 
-def _intracavity_mean_field(cavity: CavitySpec, flux: float) -> complex:
-    """Mean intracavity amplitude sqrt(kappa) chi_c(0) sqrt(flux)."""
-    if flux < 0:
-        raise ValueError(f"photon flux must be non-negative, got {flux}")
-    return math.sqrt(cavity.kappa) * chi_c(0.0, cavity) * math.sqrt(flux)
-
-
 def _sideband_response(cavity: CavitySpec, omega_m: float) -> complex:
     """chi_c(Omega_m) - chi_c*(-Omega_m), the two-sideband response."""
     return chi_c(omega_m, cavity) - np.conj(chi_c(-omega_m, cavity))
 
 
-def photon_flux(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:
-    """Input photon flux of the drive, inverting the optical-damping closed
-    form when the drive is specified through gamma_opt."""
-    if drive.input_photon_flux is not None:
-        return drive.input_photon_flux
-    re_b = _sideband_response(cavity, mode.omega_m).real
-    if re_b == 0.0:
-        raise ValueError("cannot infer flux: optical damping vanishes at Delta=0")
-    mean_photons = drive.gamma_opt / (2.0 * drive.g0**2 * re_b)
-    if mean_photons < 0:
-        raise ValueError(
-            "gamma_opt has the wrong sign for this detuning; no physical flux"
-        )
-    return mean_photons / (cavity.kappa * abs(chi_c(0.0, cavity)) ** 2)
-
-
-def _mean_photon_number(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:
-    flux = photon_flux(cavity, mode, drive)
-    return abs(_intracavity_mean_field(cavity, flux)) ** 2
-
-
-def optical_damping(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:
-    """Dynamical-backaction damping rate, positive for red detuning."""
-    if drive.gamma_opt is not None:
-        return drive.gamma_opt
-    n_cav = _mean_photon_number(cavity, mode, drive)
-    return 2.0 * drive.g0**2 * n_cav * _sideband_response(cavity, mode.omega_m).real
-
-
 def spring_shift(cavity: CavitySpec, mode: MechMode, drive: DriveField) -> float:
-    """Optical-spring-shifted mechanical frequency Omega_eff."""
-    n_cav = _mean_photon_number(cavity, mode, drive)
-    shift = drive.g0**2 * n_cav * _sideband_response(cavity, mode.omega_m).imag
-    return mode.omega_m + shift
+    """Spring-shifted frequency Omega_eff = Omega_m + gamma_opt Im b / (2 Re b):
+    damping and spring are the two parts of one sideband response b."""
+    if drive.gamma_opt == 0.0:
+        return mode.omega_m
+    b = _sideband_response(cavity, mode.omega_m)
+    if not drive.gamma_opt * b.real > 0:
+        raise ValueError(
+            f"no drive power gives gamma_opt = {drive.gamma_opt!r} at this "
+            "detuning: damping is > 0 at red, < 0 at blue and 0 at Delta = 0"
+        )
+    return mode.omega_m + drive.gamma_opt * b.imag / (2.0 * b.real)
 
 
 def sideband_angle(cavity: CavitySpec, omega_m: float) -> float:
@@ -295,7 +258,7 @@ def effective_occupancy(
     noise: LaserNoise,
 ) -> OccupancyBudget:
     """Full occupancy budget of the driven mode at one cooling power."""
-    gamma_opt = optical_damping(cavity, mode, drive)
+    gamma_opt = drive.gamma_opt
     gamma_eff = mode.gamma_m + gamma_opt
     if gamma_eff <= 0:
         raise InstabilityError(

@@ -482,6 +482,20 @@ _BAD_WINDOWS = {
 }
 
 
+# case -> (convert's options, and the texts its error line shows)
+_BAD_CONVERT_OPTIONS = {
+    "convert-nan-value": (
+        ["--value", "nan", "--frequency-hz", "256e3"], ["--value must be finite"]
+    ),
+    "convert-negative-value": (
+        ["--value=-1", "--frequency-hz", "256e3"], ["--value must be finite and not negative"]
+    ),
+    "convert-infinite-frequency": (
+        ["--value", "2.2e-2", "--frequency-hz", "inf"], ["--frequency-hz must be positive"]
+    ),
+}
+
+
 def _bad_input_argv(case, tmp_path, config_path):
     """argv for one malformed input; every case writes to tmp_path/out.json."""
     out = ["--out", str(tmp_path / "out.json")]
@@ -506,6 +520,15 @@ def _bad_input_argv(case, tmp_path, config_path):
     if case == "predict-without-g0":
         return ["predict", "--config", _config_without(config_path, tmp_path, "g0_hz"),
                 "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
+    if case in _BAD_CONVERT_OPTIONS:
+        return ["convert", "--quantity", "snn-to-sphiphi", *_BAD_CONVERT_OPTIONS[case][0]]
+    if case == "fit-peak-raw-units":
+        path = tmp_path / "raw.csv"
+        path.write_text("# units=raw_volts2\n# n_averages=10\n"
+                        "# f_start=1000.0\n# f_step=50.0\n"
+                        "frequency_hz,psd\n1000,1.0\n1050,1.0\n")
+        return ["fit-peak", "--config", _config_without(config_path, tmp_path, "calibration_tone"),
+                "--spectrum", str(path), *out]
     if case == "convert-sll-without-config":
         return ["convert", "--quantity", "snn-to-sll", "--value", "1e-2"]
     if case == "missing-spectrum":
@@ -577,6 +600,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         "one-column-spectrum",
         "spectrum-nan-f-step",
         "spectrum-bad-units",
+        "fit-peak-raw-units",
         "truncated-fragment",
         "fragment-missing-key",
         "fragment-bad-covariance",
@@ -591,6 +615,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         *_BAD_CONFIG_VALUES,
         *_BAD_FRAGMENT_VALUES,
         *_BAD_PREDICT_OPTIONS,
+        *_BAD_CONVERT_OPTIONS,
         *_SWEEPS_WITHOUT_NOISE,
         *_BAD_WINDOWS,
     ],
@@ -603,6 +628,7 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "one-column-spectrum": [f"{tmp_path / 'one.csv'}:6", "expected two columns"],
         "spectrum-nan-f-step": [str(tmp_path / "header.csv"), "f_step"],
         "spectrum-bad-units": [str(tmp_path / "header.csv"), "units", "'volts'"],
+        "fit-peak-raw-units": [str(tmp_path / "raw.csv"), "'raw_volts2'", "calibration_tone"],
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
         "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 5x5"],
@@ -620,7 +646,7 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]
     for bad, (_, _, texts) in _BAD_FRAGMENT_VALUES.items():
         named[bad] = [str(tmp_path / "frag_0.json"), *texts]
-    for bad, (_, texts) in _BAD_PREDICT_OPTIONS.items():
+    for bad, (_, texts) in (*_BAD_PREDICT_OPTIONS.items(), *_BAD_CONVERT_OPTIONS.items()):
         named[bad] = texts
     for bad, options in _SWEEPS_WITHOUT_NOISE.items():
         named[bad] = [f"--sweep {options[1]}", "noise section"]

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from sidecool.physics import (
     InstabilityError,
     LaserNoise,
     MechMode,
-    photon_flux,
 )
 
 from _oracles import excess_occupancy_unsimplified
@@ -48,11 +50,15 @@ def test_mech_mode_rejects_inconsistent_width_and_q():
         )
 
 
-def test_drive_field_requires_exactly_one_strength():
-    with pytest.raises(ValueError):
+def test_drive_field_is_g0_and_gamma_opt():
+    assert [f.name for f in fields(DriveField)] == ["g0", "gamma_opt"]
+    with pytest.raises(TypeError):
         DriveField(g0=TWO_PI * 2.1)
-    with pytest.raises(ValueError):
-        DriveField(g0=TWO_PI * 2.1, input_photon_flux=1e14, gamma_opt=1.0)
+    with pytest.raises(ValueError, match="g0"):
+        DriveField(g0=0.0, gamma_opt=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma_opt must be finite"):
+            DriveField(g0=TWO_PI * 2.1, gamma_opt=bad)
 
 
 def test_cavity_rejects_nonpositive_kappa():
@@ -82,24 +88,14 @@ def test_chi_c_detuning_reflection(kappa, detuning, f):
 
 
 @given(kappa=kappas, detuning=detunings, om=mech_freqs)
-def test_optical_damping_antisymmetric_in_detuning(kappa, detuning, om):
-    mode = MechMode(omega_m=TWO_PI * om, q_factor=1e7, temperature=300.0)
-    drive = DriveField(g0=TWO_PI * 2.0, input_photon_flux=1e14)
-    g_red = sc.optical_damping(make_cavity(kappa, detuning), mode, drive)
-    g_blue = sc.optical_damping(make_cavity(kappa, -detuning), mode, drive)
-    assert g_blue == pytest.approx(-g_red, rel=1e-10)
-    assert g_red > 0  # red detuning damps
-
-
-@given(kappa=kappas, detuning=detunings, om=mech_freqs,
-       gopt=st.floats(10.0, 1e5))
-def test_photon_flux_inverts_optical_damping(kappa, detuning, om, gopt):
-    cavity = make_cavity(kappa, detuning)
-    mode = MechMode(omega_m=TWO_PI * om, q_factor=1e7, temperature=300.0)
-    by_gamma = DriveField(g0=TWO_PI * 2.0, gamma_opt=gopt)
-    flux = photon_flux(cavity, mode, by_gamma)
-    by_flux = DriveField(g0=TWO_PI * 2.0, input_photon_flux=flux)
-    assert sc.optical_damping(cavity, mode, by_flux) == pytest.approx(gopt, rel=1e-10)
+def test_red_detuning_damps_and_blue_antidamps(kappa, detuning, om):
+    """Optical damping has the sign of cos(theta): positive at red detuning.
+    Mirroring the detuning negates the sideband response, damping and
+    spring alike, so theta moves by pi."""
+    theta_red = sc.sideband_angle(make_cavity(kappa, detuning), TWO_PI * om)
+    theta_blue = sc.sideband_angle(make_cavity(kappa, -detuning), TWO_PI * om)
+    assert math.cos(theta_red) > 0
+    assert abs(theta_blue - theta_red) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_thermal_occupation_matches_direct_ratio(mode01):
@@ -181,23 +177,42 @@ def test_effective_occupancy_budget_sums(cavity, mode01, phase_noise):
 
 def test_instability_raises_for_strong_blue_drive(mode01):
     blue = make_cavity(204e3, +480e3)
-    drive = DriveField(g0=TWO_PI * 2.1, input_photon_flux=1e16)
-    with pytest.raises(InstabilityError):
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=-2.0 * mode01.gamma_m)
+    with pytest.raises(InstabilityError, match="anti-damped"):
         sc.effective_occupancy(mode01, blue, drive, LaserNoise())
 
 
+@pytest.mark.parametrize(
+    "detuning_hz, sign",
+    [(0.0, 1.0), (+480e3, 1.0), (-480e3, -1.0)],
+    ids=["zero-detuning", "damping-at-blue", "antidamping-at-red"],
+)
+def test_drive_without_a_power_raises(mode01, detuning_hz, sign):
+    """A gamma_opt that no drive power gives at this detuning (any at
+    Delta = 0, or the sign of the other side) raises ValueError, not
+    ZeroDivisionError. Its size stays below Gamma_m, so the total width is
+    positive and effective_occupancy gets as far as the spring."""
+    cavity = make_cavity(204e3, detuning_hz)
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=0.5 * sign * mode01.gamma_m)
+    with pytest.raises(ValueError, match="no drive power"):
+        sc.spring_shift(cavity, mode01, drive)
+    with pytest.raises(ValueError, match="no drive power"):
+        sc.effective_occupancy(mode01, cavity, drive, LaserNoise())
+
+
 def test_spring_instability_raises(cavity, mode01, phase_noise):
-    """The weak-coupling spring shift is linear in gamma_opt; past the drive
-    where it takes omega_eff to zero there is no steady state. For mode
-    (0,1) at the published detuning that limit is about 153 kHz."""
+    """The weak-coupling spring shift is (gamma_opt / 2) tan(theta); past the
+    drive -2 Omega_m / tan(theta), where it takes omega_eff to zero, there
+    is no steady state. For mode (0,1) at the published detuning that limit
+    is about 153 kHz."""
     g0 = TWO_PI * 2.1
 
     def budget(gamma_opt_hz):
         drive = DriveField(g0=g0, gamma_opt=TWO_PI * gamma_opt_hz)
         return sc.effective_occupancy(mode01, cavity, drive, phase_noise)
 
-    slope = (budget(1e3).omega_eff - mode01.omega_m) / (TWO_PI * 1e3)
-    limit_hz = -mode01.omega_m / slope / TWO_PI
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    limit_hz = -2.0 * mode01.omega_m / math.tan(theta) / TWO_PI
     assert 150e3 < limit_hz < 156e3
     assert budget(0.99 * limit_hz).omega_eff > 0
     for gamma_opt_hz in (1.01 * limit_hz, 200e3):
@@ -247,3 +262,15 @@ def test_sideband_angle_and_amplitude_factor_regressions(cavity):
     theta = sc.sideband_angle(cavity, TWO_PI * 256e3)
     assert 1.0 / math.sin(2 * theta) == pytest.approx(-1.827, abs=2e-3)
     assert sc.amplitude_factor(cavity, TWO_PI * 593e3) == pytest.approx(1.183, abs=2e-3)
+
+
+def test_readme_library_quick_start_runs():
+    """README's "Quick start (library)" block runs as written and gives a
+    finite, positive occupancy at the optimal drive."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    n_eff = namespace["budget"].n_eff
+    assert math.isfinite(n_eff) and n_eff > 0
