@@ -508,7 +508,12 @@ def cmd_convert(args) -> int:
     if error:
         return _fail(error)
     quantity = args.quantity
-    if quantity in ("snn-to-sphiphi", "sphiphi-to-snn"):
+    phase = quantity in ("snn-to-sphiphi", "sphiphi-to-snn")
+    # each conversion reads --frequency-hz or --config, never both
+    if (args.config if phase else args.frequency_hz) is not None:
+        unread = "--config" if phase else "--frequency-hz"
+        return _fail(f"{unread} plays no part in --quantity {quantity}")
+    if phase:
         if args.frequency_hz is None:
             return _fail("--frequency-hz is required for this conversion")
         omega = TWO_PI * args.frequency_hz

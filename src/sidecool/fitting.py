@@ -360,10 +360,9 @@ def _moving_average(values: np.ndarray) -> np.ndarray:
     # left and the last right bins have truncated windows.
     right = (SMOOTH_BINS - 1) // 2
     left = SMOOTH_BINS - 1 - right
-    counts = np.full(values.size, float(SMOOTH_BINS))
-    counts[:left] = np.arange(right + 1, SMOOTH_BINS)
-    counts[values.size - right:] = np.arange(SMOOTH_BINS - 1, left, -1)
-    total /= counts
+    total[left : values.size - right] /= SMOOTH_BINS
+    total[:left] /= np.arange(right + 1, SMOOTH_BINS)
+    total[values.size - right :] /= np.arange(SMOOTH_BINS - 1, left, -1)
     return total
 
 
@@ -412,21 +411,20 @@ def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
     return BackgroundModel(offset, amp * f_pivot**exponent, exponent, *beat)
 
 
-def _background_start(
-    spectrum: Spectrum, f: np.ndarray, exclusion_windows, var: np.ndarray
-):
+def _background_start(spectrum: Spectrum, f: np.ndarray, exclusion_windows, level):
     """The closed-form start of a background fit on the bins outside
-    exclusion_windows, given the spectrum's frequencies f and per-bin
-    variance var from _level_and_variance: the mask of those bins, the
-    band's pivot f_pivot = sqrt(f[0] f[-1]), and the six parameters of
+    exclusion_windows, given the spectrum's frequencies f and its level, the
+    (smooth, var) pair from _level_and_variance that also weights the fit and
+    masks its spurious bins: the mask of those bins, the band's pivot
+    f_pivot = sqrt(f[0] f[-1]), and the six parameters of
     BackgroundModel.on_grid at that pivot.
 
     The tail has exponent 2, and its offset and amplitude solve the weighted
     linear least-squares problem, clipped to their bounds. The largest bump
-    of that tail's smoothed residual gives the beat note's centre, width
-    (its span above half height) and amplitude. A bump that does not stand
-    3 sigma above the residual gives beat amplitude 0, at the first bin and
-    one bin wide."""
+    of smooth above that tail gives the beat note's centre, width (its span
+    above half height) and amplitude. A bump that does not stand 3 sigma
+    above the tail gives beat amplitude 0, at the first bin and one bin wide."""
+    smooth, var = level
     keep = _retained_mask(f, exclusion_windows)
     if keep.sum() < 50:
         raise ValueError("too few retained bins for a background fit")
@@ -440,7 +438,7 @@ def _background_start(
     offset, amp = np.linalg.solve(weighted @ design.T, weighted @ y_k)
     offset, amp = max(offset, 0.0), max(amp, 0.0)
 
-    smooth_resid = _moving_average(y_k - (offset + amp * power))
+    smooth_resid = smooth[keep] - (offset + amp * power)
     i_beat = int(np.argmax(smooth_resid))
     beat_amp = max(float(smooth_resid[i_beat]), 1e-12)
     if beat_amp < 3.0 * math.sqrt(median(var_k)):
@@ -463,8 +461,8 @@ def fit_background(
     the fit moves the tail alone. A failed fit raises DegenerateFitError or
     FitConvergenceError."""
     f = spectrum.frequencies
-    var = _level_and_variance(spectrum.values, spectrum.n_averages)[1]
-    keep, f_pivot, start = _background_start(spectrum, f, exclusion_windows, var)
+    level = _level_and_variance(spectrum.values, spectrum.n_averages)
+    keep, f_pivot, start = _background_start(spectrum, f, exclusion_windows, level)
     bounds = _background_bounds(f[keep], spectrum.f_step)
     if start[5] == 0.0:
         bounds[5] = (0.0, 0.0)
@@ -472,7 +470,7 @@ def fit_background(
         FitProblem(
             model=BackgroundModel.on_grid(f[keep], f_pivot),
             data=spectrum.values[keep],
-            weights=1.0 / var[keep],
+            weights=1.0 / level[1][keep],
             initial_params=start,
             bounds=bounds,
         )
@@ -691,7 +689,9 @@ def fit_cooling_curve(
 
     points are (gamma_eff rad/s, a_eff Hz^2, sigma_a_eff). The derived
     quantities use b1 = 2 g^2 Gamma_m n_th (g in Hz), gamma_min =
-    sqrt(b1/b2), and n_min = 2 Gamma_m n_th sqrt(b2/b1).
+    sqrt(b1/b2), and n_min = 2 Gamma_m n_th sqrt(b2/b1). Points at fewer
+    than two distinct gamma_eff cannot separate b1 from b2 and raise
+    DegenerateFitError.
     """
     pts = [(float(g), float(a), float(s)) for g, a, s in points]
     if len(pts) < 2:
@@ -700,6 +700,10 @@ def fit_cooling_curve(
         error = _point_error(*point)
         if error:
             raise ValueError(f"point {i}: {error}")
+    if all(p[0] == pts[0][0] for p in pts):
+        raise DegenerateFitError(
+            f"cooling-curve fit needs at least 2 distinct gamma_eff, got only {pts[0][0]!r}"
+        )
     gammas = np.array([p[0] for p in pts])
     areas = np.array([p[1] for p in pts])
     sigmas = np.array([p[2] for p in pts])
@@ -903,13 +907,22 @@ def summarize_peaks(
     inverts the cooling-curve minimum for the laser-noise PSDs, and gives
     T_eff at n_min and Q_eff = Omega_m / Gamma_min. A peak that _peak_error
     rejects, such as one fitted at another sideband angle, raises ValueError
-    naming it as labels[i] ("peak i" without labels).
+    naming it as labels[i] ("peak i" without labels), and so do two peaks
+    with equal coeffs, one fit counted twice, naming both.
     """
+
+    def name(i):
+        return labels[i] if labels else f"peak {i}"
+
     theta = sideband_angle(cavity, mode.omega_m)
+    first: dict[LineshapeCoeffs, int] = {}
     for i, p in enumerate(peaks):
         error = _peak_error(p, theta)
         if error:
-            raise ValueError(f"{labels[i] if labels else f'peak {i}'}: {error}")
+            raise ValueError(f"{name(i)}: {error}")
+        j = first.setdefault(p.coeffs, i)
+        if j != i:
+            raise ValueError(f"{name(j)} and {name(i)} are one peak fit (equal coeffs)")
     points = [(p.coeffs.gamma_eff, p.a_eff, p.a_eff_sigma) for p in peaks]
     cooling = fit_cooling_curve(points, mode)
     slope, slope_sigma = _a3_slope(peaks)
@@ -983,7 +996,7 @@ def analyze_peak(
         _check_grid(grid, f, detection)
     level = _level_and_variance(spectrum.values, spectrum.n_averages)
     _, f_pivot, params = _background_start(
-        spectrum, f, [*exclusion_windows, search_window], level[1]
+        spectrum, f, [*exclusion_windows, search_window], level
     )
     # the peak's start, from the search window of the start-subtracted values
     sl = spectrum.window_slice(*search_window)

@@ -281,6 +281,42 @@ def test_fit_peak_without_calibration_tone(tmp_path, config_path):
     assert got == report.FitReport(peaks=[want]).to_dict()["peaks"]
 
 
+def test_fit_peak_onto_a_directory_leaves_no_temporary_file(tmp_path, config_path, capsys):
+    """An --out that names a directory fails at the rename of the finished
+    fragment: fit-peak exits 1 with one error line naming it, and the
+    temporary file written beside it is removed."""
+    config = _config_without(config_path, tmp_path, "calibration_tone")
+    camp, taken = tmp_path / "camp", tmp_path / "taken"
+    assert _synth(config, camp, extra=["--gamma-opt-hz", "2000"]) == 0
+    taken.mkdir()
+    capsys.readouterr()
+    argv = ["fit-peak", "--config", config, "--spectrum", str(camp / "spectrum_000.csv")]
+    assert _run([*argv, "--out", str(taken)]) == 1
+    assert str(taken) in _one_error_line(capsys)
+    assert list(tmp_path.glob("*.tmp")) == [] and list(taken.iterdir()) == []
+
+
+def test_synth_raises_a_floor_below_the_dispersive_dip(tmp_path, config_path, capsys):
+    """A --floor that the peak's dispersive dip would take below zero is
+    raised to 1.3 times the deepest dip over the drive grid, with one log
+    line, and the manifest records the floor the spectra were drawn with."""
+    out = tmp_path / "camp"
+    assert _synth(config_path, out, extra=["--floor", "1e-7"]) == 0
+    assert "raising PSD floor to 0.00342 Hz^2/Hz" in capsys.readouterr().err
+    floor = json.loads((out / "manifest.json").read_text())["floor"]
+    assert f"{floor:.3g}" == "0.00342"
+
+
+def test_synth_default_grid_needs_laser_noise(tmp_path, config_path, capsys):
+    """The default drive grid spans the optimum gamma_min, which a config
+    without laser noise has not got: without --gamma-opt-hz synth exits 1
+    with one error line and writes nothing."""
+    out = tmp_path / "camp"
+    assert _synth(_config_without(config_path, tmp_path, "noise"), out) == 1
+    assert "error: cannot build default drive grid: " in _one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index", ["5", "-1"])
 @pytest.mark.parametrize("command", ["synth", "fit-peak", "cooling-curve", "predict"])
 def test_mode_index_out_of_range(tmp_path, config_path, capsys, command, index):
@@ -493,6 +529,10 @@ _BAD_CONVERT_OPTIONS = {
     "convert-infinite-frequency": (
         ["--value", "2.2e-2", "--frequency-hz", "inf"], ["--frequency-hz must be positive"]
     ),
+    "convert-sphiphi-with-config": (
+        ["--value", "1e-2", "--frequency-hz", "5", "--config", "/nonexistent.json"],
+        ["--config plays no part in --quantity snn-to-sphiphi"],
+    ),
 }
 
 
@@ -531,6 +571,14 @@ def _bad_input_argv(case, tmp_path, config_path):
                 "--spectrum", str(path), *out]
     if case == "convert-sll-without-config":
         return ["convert", "--quantity", "snn-to-sll", "--value", "1e-2"]
+    if case == "convert-sll-with-frequency":
+        return ["convert", "--quantity", "snn-to-sll", "--value", "1e-2",
+                "--frequency-hz", "5", "--config", config_path]
+    if case == "cooling-curve-repeated-fragment":
+        frags = _fragments(tmp_path, [
+            peak_record(gamma, 1e3 / gamma + gamma) for gamma in TWO_PI * np.array([1e3, 4e3])
+        ])
+        return ["cooling-curve", "--config", config_path, frags[0], *frags, *out]
     if case == "missing-spectrum":
         return ["fit-peak", "--config", config_path,
                 "--spectrum", str(tmp_path / "missing.csv"), *out]
@@ -612,6 +660,8 @@ def _bad_input_argv(case, tmp_path, config_path):
         "synth-without-g0",
         "predict-without-g0",
         "convert-sll-without-config",
+        "convert-sll-with-frequency",
+        "cooling-curve-repeated-fragment",
         *_BAD_CONFIG_VALUES,
         *_BAD_FRAGMENT_VALUES,
         *_BAD_PREDICT_OPTIONS,
@@ -641,6 +691,11 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "synth-without-g0": ["config must provide g0_hz for synthesis"],
         "predict-without-g0": ["config must provide g0_hz for predictions"],
         "convert-sll-without-config": ["--config", "is required"],
+        "convert-sll-with-frequency": ["--frequency-hz plays no part in --quantity snn-to-sll"],
+        "cooling-curve-repeated-fragment": [
+            f"{tmp_path / 'frag_0.json'} peak 0 and {tmp_path / 'frag_0.json'} peak 0",
+            "equal coeffs",
+        ],
     }
     for bad, (_, _, texts) in _BAD_CONFIG_VALUES.items():
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]

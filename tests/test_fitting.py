@@ -389,8 +389,8 @@ def test_background_start_is_where_fit_background_starts():
     point fit_background's LM fit starts from."""
     for beat_amplitude in (0.05, 0.0):
         noisy, truth = _background_spectrum(beat_amplitude=beat_amplitude)
-        var = fitting._level_and_variance(noisy.values, noisy.n_averages)[1]
-        _, _, start = fitting._background_start(noisy, noisy.frequencies, (), var)
+        level = fitting._level_and_variance(noisy.values, noisy.n_averages)
+        _, _, start = fitting._background_start(noisy, noisy.frequencies, (), level)
         if beat_amplitude:
             assert abs(start[3] - truth.beat_center) < truth.beat_width
             assert start[5] > 0.0
@@ -879,8 +879,8 @@ def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, p
     search window alone."""
     specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
     for spec in specs:
-        var = fitting._level_and_variance(spec.values, spec.n_averages)[1]
-        _, pivot, params = fitting._background_start(spec, spec.frequencies, [window], var)
+        level = fitting._level_and_variance(spec.values, spec.n_averages)
+        _, pivot, params = fitting._background_start(spec, spec.frequencies, [window], level)
         start = fitting._pivoted(pivot, *params)
         clean = spec.values - spectra.evaluate_background(start, spec.frequencies)
         sl = spec.window_slice(*window)
@@ -897,6 +897,28 @@ def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, p
             ["offset + a0", "a2", "a3", "omega_eff", "gamma_eff"], got, ref
         ):
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0), name
+
+
+def test_one_smoothing_pass_per_spectrum(
+    monkeypatch, cavity, mode01, detection, phase_noise
+):
+    """The level that weights a fit and masks its spurious bins is also the
+    one its start reads the beat note off: analyze_peak and fit_background
+    each smooth their spectrum once."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    inner = fitting._moving_average
+    calls = []
+
+    def counting(values):
+        calls.append(values.size)
+        return inner(values)
+
+    monkeypatch.setattr(fitting, "_moving_average", counting)
+    fitting.analyze_peak(specs[0], mode01, cavity, detection, window)
+    assert calls == [specs[0].values.size]
+    calls.clear()
+    fitting.fit_background(specs[0], [window])
+    assert calls == [specs[0].values.size]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1029,6 +1051,17 @@ def test_fit_cooling_curve_rejects_a_nan_fit(mode01):
         fitting.fit_cooling_curve(points, mode01)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_fit_cooling_curve_needs_two_distinct_gamma_eff(mode01, n):
+    """Points that all share one gamma_eff cannot separate b1/Gamma from
+    b2 Gamma; the normal matrix is singular to rounding, so the fit raises
+    instead of returning sigmas from it."""
+    gamma = TWO_PI * 3e3
+    points = [(gamma, 1e3 + 10.0 * k, 10.0) for k in range(n)]
+    with pytest.raises(DegenerateFitError, match="2 distinct gamma_eff"):
+        fitting.fit_cooling_curve(points, mode01)
+
+
 def test_cooling_curve_annotates_soft_points(mode01):
     g_hz = 2.1
     n_th = sc.thermal_occupation(mode01)
@@ -1077,6 +1110,17 @@ def test_discriminate_indeterminate_near_zero_sin2theta(mode01):
         assert d.classification == "indeterminate"
     d2 = fitting.discriminate_noise(0.13, 0.005, 0.001, 0.01, math.pi / 2)
     assert d2.classification == "indeterminate"
+
+
+def test_unresolved_b2_and_a3_slope_are_indeterminate(cavity, mode01):
+    """With neither the a3 slope nor b2 above 2 sigma the noise type is
+    indeterminate, though sin 2 theta gives the phase ratio to expect."""
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    d = fitting.discriminate_noise(0.01, 0.01, 0.0, 0.01, theta)
+    assert d.classification == "indeterminate"
+    assert d.ratio is None
+    assert d.expected_phase_ratio == 1.0 / math.sin(2.0 * theta)
+    assert math.isnan(d.amplitude_fraction)
 
 
 def test_extract_noise_round_trip(cavity, mode01, phase_noise):

@@ -254,3 +254,63 @@ def test_peak_at_another_sideband_angle_is_rejected(cavity, mode01, mode02):
     peaks[2] = dataclasses.replace(peaks[2], theta=theta_01 + 2e-9)
     with pytest.raises(ValueError, match="peak 2"):
         summarize_peaks(peaks, mode01, cavity)
+
+
+def _cooling_peaks(theta, a3_slope):
+    """Six peak records fitted at theta on a_eff = 3e7/Gamma + 0.13 Gamma,
+    with a_eff alternately 0.5 % high and low, and a3 = a3_slope Gamma."""
+    peaks = []
+    for k, gamma in enumerate(TWO_PI * np.geomspace(1e3, 10e3, 6)):
+        peak = peak_record(gamma, (3e7 / gamma + 0.13 * gamma) * (1.0 + 0.005 * (-1) ** k))
+        coeffs = dataclasses.replace(peak.coeffs, a3=a3_slope * gamma)
+        peaks.append(dataclasses.replace(peak, coeffs=coeffs, theta=theta))
+    return peaks
+
+
+def test_mixed_campaign_reports_both_psds_as_limits(tmp_path, cavity, mode01):
+    """An a3 slope that phase noise alone would give with 70 % of the fitted
+    b2 leaves 30 % to amplitude noise: the campaign is mixed, names no
+    dominant source, reports both PSDs as limits, and its report keeps
+    dominant: null through save and load."""
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    peaks = _cooling_peaks(theta, 0.7 * 0.13 * math.sin(2.0 * theta))
+    rep = summarize_peaks(peaks, mode01, cavity)
+    assert rep.discrimination.classification == "mixed"
+    assert rep.discrimination.amplitude_fraction == pytest.approx(0.3, abs=0.05)
+    assert rep.noise.dominant is None
+    assert rep.noise.s_phi_phi_is_limit and rep.noise.s_eps_eps_is_limit
+    path = tmp_path / "report.json"
+    rep.save(path)
+    assert json.loads(path.read_text())["laser_noise"]["dominant"] is None
+    back = FitReport.load(path)
+    assert back.discrimination.classification == "mixed"
+    assert back.noise == rep.noise
+
+
+def test_campaign_near_zero_sin_2theta_is_indeterminate(mode01):
+    """At Delta = -Omega_m in a 20 kHz cavity |sin 2 theta| is 0.039, below
+    0.05, so a3 carries no information on the noise type: the campaign ends
+    indeterminate, with no expected phase ratio, and both PSDs as limits."""
+    cavity = sc.CavitySpec(kappa=TWO_PI * 20e3, detuning=-mode01.omega_m)
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    assert abs(math.sin(2.0 * theta)) < 0.05
+    rep = summarize_peaks(_cooling_peaks(theta, 0.0), mode01, cavity)
+    disc = rep.discrimination
+    assert disc.classification == "indeterminate"
+    assert disc.ratio is None and disc.expected_phase_ratio is None
+    assert math.isnan(disc.amplitude_fraction)
+    assert rep.noise.dominant is None
+    assert rep.noise.s_phi_phi_is_limit and rep.noise.s_eps_eps_is_limit
+
+
+def test_one_peak_fit_counted_twice_is_rejected(cavity, mode01):
+    """Two peaks with equal coeffs are one fit entered twice, which would
+    make the cooling-curve fit exact and its rescaled sigmas zero: the error
+    names both, by label or by index."""
+    peaks = [peak_record(g, 1e3 / g + g) for g in TWO_PI * np.geomspace(1e3, 10e3, 3)]
+    peaks.insert(2, peaks[0])
+    with pytest.raises(ValueError, match="peak 0 and peak 2 are one peak fit"):
+        summarize_peaks(peaks, mode01, cavity)
+    labels = ["frag_000.json", "frag_001.json", "frag_000.json again", "frag_002.json"]
+    with pytest.raises(ValueError, match="frag_000.json and frag_000.json again"):
+        summarize_peaks(peaks, mode01, cavity, labels)
