@@ -73,7 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated optical damping grid (Hz); default is a log "
         "grid of 8 points around the predicted optimum",
     )
-    p_synth.add_argument("--points", type=int, default=8)
+    p_synth.add_argument(
+        "--points", type=int, default=None,
+        help="number of points of the default grid (8); not with --gamma-opt-hz",
+    )
     p_synth.add_argument("--f-start-hz", type=float, default=None)
     p_synth.add_argument("--f-stop-hz", type=float, default=None)
     p_synth.add_argument("--f-step-hz", type=float, default=25.0)
@@ -178,6 +181,8 @@ def cmd_synth(args) -> int:
     error = _broken_rule(args, _SYNTH_RULES)
     if error:
         return _fail(error)
+    if args.gamma_opt_hz is not None and args.points is not None:
+        return _fail("--points plays no part when --gamma-opt-hz is given")
     config, mode = _load_config(args)
     if config.g0 is None:
         return _fail("config must provide g0_hz for synthesis")
@@ -191,7 +196,7 @@ def cmd_synth(args) -> int:
         except ValueError as exc:
             return _fail(f"cannot build default drive grid: {exc}")
         grid_hz = list(
-            np.geomspace(0.5 * gamma_min / TWO_PI, 4.0 * gamma_min / TWO_PI, args.points)
+            np.geomspace(0.5 * gamma_min / TWO_PI, 4.0 * gamma_min / TWO_PI, args.points or 8)
         )
     f_start = args.f_start_hz if args.f_start_hz is not None else mode_f - 100e3
     f_stop = args.f_stop_hz if args.f_stop_hz is not None else mode_f + 100e3

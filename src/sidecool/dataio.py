@@ -2,14 +2,13 @@
 conversions.
 
 Spectrum files are CSV with ``#``-prefixed ``key=value`` header lines
-(units, n_averages, f_start, f_step, plus free-form ``meta:`` entries) and
-two columns, frequency_hz and psd. Configs and reports are JSON with unit
-suffixes on field names.
+(units, n_averages, f_start and f_step; any other header line is ignored)
+and two columns, frequency_hz and psd. Configs and reports are JSON with
+unit suffixes on field names.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 import os
@@ -97,33 +96,11 @@ def write_spectrum(spectrum: Spectrum, path: str | Path) -> None:
         f"# n_averages={spectrum.n_averages}",
         f"# f_start={spectrum.f_start!r}",
         f"# f_step={spectrum.f_step!r}",
+        "frequency_hz,psd",
     ]
-    for key, value in spectrum.metadata.items():
-        lines.append(f"# meta:{key}={value!r}" if isinstance(value, str) else f"# meta:{key}={value}")
-    lines.append("frequency_hz,psd")
     rows = zip(spectrum.frequencies.tolist(), spectrum.values.tolist())
     lines.extend(map("%.17g,%.17g".__mod__, rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _parse_meta(raw: str):
-    """A metadata value as write_spectrum writes it: a quoted string is read
-    back from its repr, True, False and None as themselves, a number as int
-    or float, anything else as text."""
-    if raw in ("True", "False", "None"):
-        return ast.literal_eval(raw)
-    if raw[:1] in ("'", '"') and raw[-1:] == raw[:1]:
-        try:
-            return ast.literal_eval(raw)
-        except (ValueError, SyntaxError):
-            return raw
-    try:
-        as_float = float(raw)
-    except ValueError:
-        return raw
-    if as_float.is_integer() and "." not in raw and "e" not in raw.lower():
-        return int(as_float)
-    return as_float
 
 
 def _header_value(path: Path, header: dict[str, str], key: str, parse):
@@ -140,7 +117,6 @@ def read_spectrum(path: str | Path) -> Spectrum:
     unknown."""
     path = Path(path)
     header: dict[str, str] = {}
-    metadata: dict = {}
     cells: list[str] = []  # frequency and value of each data row, in turn
     linenos: list[int] = []
     bad_columns = None  # line of the first row without two columns
@@ -153,11 +129,7 @@ def read_spectrum(path: str | Path) -> Spectrum:
                 body = line.lstrip("#").strip()
                 if "=" in body:
                     key, _, value = body.partition("=")
-                    key = key.strip()
-                    if key.startswith("meta:"):
-                        metadata[key[5:]] = _parse_meta(value.strip())
-                    else:
-                        header[key] = value.strip()
+                    header[key.strip()] = value.strip()
                 continue
             if line.lower().startswith("frequency"):
                 continue
@@ -208,7 +180,6 @@ def read_spectrum(path: str | Path) -> Spectrum:
             values=vals,
             units=units,
             n_averages=n_averages,
-            metadata=metadata,
         )
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}: {exc}") from None
@@ -261,12 +232,7 @@ def calibrate_with_tone(spectrum: Spectrum, tone: CalibrationTone) -> Spectrum:
     if integrated <= 0:
         raise ToneNotFoundError("tone has non-positive integrated power")
     scale = tone.power_hz2 / integrated
-    return replace(
-        spectrum,
-        values=spectrum.values * scale,
-        units=SpectrumUnits.HZ2_PER_HZ,
-        metadata=dict(spectrum.metadata, calibration_scale=scale),
-    )
+    return replace(spectrum, values=spectrum.values * scale, units=SpectrumUnits.HZ2_PER_HZ)
 
 
 def convert_frequency_noise(s_nu_nu: float, omega: float) -> float:

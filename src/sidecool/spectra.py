@@ -25,7 +25,7 @@ import enum
 import math
 import operator
 import warnings
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -234,7 +234,6 @@ class Spectrum:
     values: np.ndarray
     units: SpectrumUnits = SpectrumUnits.RAW
     n_averages: int = 1
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -480,20 +479,12 @@ def output_psd(
         )
     if background is not None:
         values = values + evaluate_background(background, f)
-    meta = {
-        "n_eff": budget.n_eff,
-        "gamma_eff_hz": budget.gamma_eff / TWO_PI,
-        "omega_eff_hz": budget.omega_eff / TWO_PI,
-        "a2": coeffs.a2,
-        "a3": coeffs.a3,
-    }
     return Spectrum(
         f_start=f_start,
         f_step=f_step,
         values=values,
         units=SpectrumUnits.HZ2_PER_HZ,
         n_averages=1,
-        metadata=meta,
     )
 
 
@@ -553,17 +544,17 @@ def synthesize_campaign(
             floor=floor, background=background,
         )
         spectra.append(synthesize_measured_spectrum(model, n_averages, rng, tone=tone))
-        md = model.metadata
+        coeffs, budget = model_coefficients(mode, cavity, drive, noise)
         g_hz = g0 / TWO_PI
         truth.append(
             {
                 "gamma_opt_hz": gamma_opt / TWO_PI,
-                "gamma_eff_hz": md["gamma_eff_hz"],
-                "omega_eff_hz": md["omega_eff_hz"],
-                "n_eff": md["n_eff"],
-                "a2_hz2": md["a2"],
-                "a3_hz2": md["a3"],
-                "a_eff_hz2": g_hz**2 * (2.0 * md["n_eff"] + 1.0),
+                "gamma_eff_hz": budget.gamma_eff / TWO_PI,
+                "omega_eff_hz": budget.omega_eff / TWO_PI,
+                "n_eff": budget.n_eff,
+                "a2_hz2": coeffs.a2,
+                "a3_hz2": coeffs.a3,
+                "a_eff_hz2": g_hz**2 * (2.0 * budget.n_eff + 1.0),
             }
         )
     return spectra, truth

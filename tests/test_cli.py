@@ -40,13 +40,16 @@ def _run(argv):
 
 
 def _synth(config_path, out_dir, extra=()):
+    """synth on a 4-point default grid, or on the grid extra gives with
+    --gamma-opt-hz, which --points may not join."""
+    points = [] if "--gamma-opt-hz" in extra else ["--points", "4"]
     return _run(
         [
             "synth",
             "--config", config_path,
             "--seed", "7",
             "--out-dir", str(out_dir),
-            "--points", "4",
+            *points,
             "--n-averages", "150",
             "--f-step-hz", "50",
             "--floor", "3.5e-3",
@@ -126,12 +129,14 @@ def _config_without(config_path, tmp_path, key) -> str:
         ("--n-averages", "0"),
         ("--f-start-hz", "400e3"),  # above the default stop, 356 kHz
         ("--f-stop-hz", "300e3"),  # below the config's 340 kHz tone
+        ("--points", "12 --gamma-opt-hz 1000,2000"),  # --points sizes only the default grid
     ],
 )
 def test_synth_bad_input_gives_one_error_line(tmp_path, config_path, capsys, option, value):
-    """The error line names the option and comes before any log line or file."""
+    """The error line names the option and comes before any log line or file.
+    A value with spaces is split into several arguments."""
     out = tmp_path / "camp"
-    assert _synth(config_path, out, extra=[option, value]) == 1
+    assert _synth(config_path, out, extra=[option, *value.split()]) == 1
     assert option in _one_error_line(capsys)
     assert not out.exists()
 

@@ -419,6 +419,13 @@ def _peak_setup(cavity, mode01, detection, phase_noise, gamma_opt_hz=3e3):
     )
 
 
+def _peak_truth(cavity, mode01, phase_noise):
+    """The lineshape coefficients and occupancy budget behind _peak_setup's
+    default model."""
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * 3e3)
+    return spectra.model_coefficients(mode01, cavity, drive, phase_noise)
+
+
 def test_peak_initial_guess_raises_on_flat(detection):
     flat = Spectrum(f_start=1e5, f_step=10.0, values=np.full(1000, 2.0))
     with pytest.raises(PeakNotFoundError, match="no peak"):
@@ -429,11 +436,11 @@ def test_fit_peak_exact_on_noiseless_model(cavity, mode01, detection, phase_nois
     model = _peak_setup(cavity, mode01, detection, phase_noise)
     theta = sc.sideband_angle(cavity, mode01.omega_m)
     res = fitting.fit_peak(model, (200e3, 300e3), detection, theta=theta)
-    md = model.metadata
-    assert res.coeffs.a2 == pytest.approx(md["a2"], rel=1e-6)
-    assert res.coeffs.a3 == pytest.approx(md["a3"], rel=1e-6)
-    assert res.coeffs.gamma_eff / TWO_PI == pytest.approx(md["gamma_eff_hz"], rel=1e-8)
-    assert res.a_eff == pytest.approx(2.1**2 * (2 * md["n_eff"] + 1), rel=1e-6)
+    coeffs, budget = _peak_truth(cavity, mode01, phase_noise)
+    assert res.coeffs.a2 == pytest.approx(coeffs.a2, rel=1e-6)
+    assert res.coeffs.a3 == pytest.approx(coeffs.a3, rel=1e-6)
+    assert res.coeffs.gamma_eff / TWO_PI == pytest.approx(budget.gamma_eff / TWO_PI, rel=1e-8)
+    assert res.a_eff == pytest.approx(2.1**2 * (2 * budget.n_eff + 1), rel=1e-6)
     assert not res.lorentzian_preferred
 
 
@@ -456,7 +463,7 @@ def test_fit_peak_prefers_lorentzian_without_phase_noise(
 def test_fit_peak_statistical_consistency(cavity, mode01, detection, phase_noise):
     """Pulls of a_eff over independent realizations behave like unit normals."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
-    truth = 2.1**2 * (2 * model.metadata["n_eff"] + 1)
+    truth = 2.1**2 * (2 * _peak_truth(cavity, mode01, phase_noise)[1].n_eff + 1)
     theta = sc.sideband_angle(cavity, mode01.omega_m)
     pulls = []
     for seed in range(20):
@@ -479,7 +486,7 @@ def test_analyze_peak_converges_without_background(
     is not identified; the fit still converges at every noise seed, and the
     a_eff pulls look like unit normals."""
     model = _peak_setup(cavity, mode01, detection, phase_noise)
-    truth = 2.1**2 * (2 * model.metadata["n_eff"] + 1)
+    truth = 2.1**2 * (2 * _peak_truth(cavity, mode01, phase_noise)[1].n_eff + 1)
     pulls = []
     for seed in range(40):
         noisy = spectra.synthesize_measured_spectrum(model, n_averages=200, seed=seed)
@@ -567,10 +574,10 @@ def test_analyze_peak_handles_background_and_wide_peak(
     res, fitted_bg = fitting.analyze_peak(
         noisy, mode01, cavity, detection, search_window=(226e3, 286e3)
     )
-    md = model.metadata
-    assert res.coeffs.gamma_eff / TWO_PI == pytest.approx(md["gamma_eff_hz"], rel=0.05)
+    _, budget = spectra.model_coefficients(mode01, cavity, drive, phase_noise)
+    assert res.coeffs.gamma_eff / TWO_PI == pytest.approx(budget.gamma_eff / TWO_PI, rel=0.05)
     assert res.a_eff == pytest.approx(
-        2.1**2 * (2 * md["n_eff"] + 1), rel=0.05
+        2.1**2 * (2 * budget.n_eff + 1), rel=0.05
     )
 
 
@@ -1103,11 +1110,12 @@ def test_discriminate_mixed(cavity, mode01):
 
 
 def test_discriminate_indeterminate_near_zero_sin2theta(mode01):
-    cavity_opt = sc.CavitySpec(kappa=TWO_PI * 204e3, detuning=-mode01.omega_m)
+    # at Delta = -Omega_m in a 20 kHz cavity sin 2 theta is -0.039
+    cavity_opt = sc.CavitySpec(kappa=TWO_PI * 20e3, detuning=-mode01.omega_m)
     theta = sc.sideband_angle(cavity_opt, mode01.omega_m)
-    if abs(math.sin(2 * theta)) < 0.05:
-        d = fitting.discriminate_noise(0.13, 0.005, 0.0, 0.01, theta)
-        assert d.classification == "indeterminate"
+    assert abs(math.sin(2 * theta)) < 0.05
+    d = fitting.discriminate_noise(0.13, 0.005, 0.0, 0.01, theta)
+    assert d.classification == "indeterminate"
     d2 = fitting.discriminate_noise(0.13, 0.005, 0.001, 0.01, math.pi / 2)
     assert d2.classification == "indeterminate"
 

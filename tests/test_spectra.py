@@ -155,11 +155,13 @@ def test_output_psd_rejects_nonpositive_model(cavity, mode01, phase_noise, detec
 
 def test_output_psd_metadata_and_peak_location(cavity, mode01, phase_noise, detection):
     model = _model(cavity, mode01, detection, phase_noise, 3e3, floor=5e-3)
-    md = model.metadata
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * 3e3)
+    _, budget = spectra.model_coefficients(mode01, cavity, drive, phase_noise)
+    omega_eff_hz, gamma_eff_hz = budget.omega_eff / TWO_PI, budget.gamma_eff / TWO_PI
     f_peak = model.frequencies[np.argmax(model.values)]
     # the dispersive component pulls the maximum off resonance by O(gamma)
-    assert f_peak == pytest.approx(md["omega_eff_hz"], abs=0.2 * md["gamma_eff_hz"])
-    assert md["gamma_eff_hz"] == pytest.approx(mode01.gamma_m / TWO_PI + 3e3, rel=1e-6)
+    assert f_peak == pytest.approx(omega_eff_hz, abs=0.2 * gamma_eff_hz)
+    assert gamma_eff_hz == pytest.approx(mode01.gamma_m / TWO_PI + 3e3, rel=1e-6)
 
 
 def test_zero_background_is_no_background(cavity, mode01, phase_noise, detection):
@@ -245,20 +247,30 @@ def test_calibration_tone_is_coherent(cavity, mode01, phase_noise, detection):
 
 
 def test_campaign_truth_records_effective_area(cavity, mode01, phase_noise, detection):
+    grid = TWO_PI * np.array([1e3, 2e3])
     specs, truth = spectra.synthesize_campaign(
-        mode=mode01, cavity=cavity, g0=TWO_PI * 2.1,
-        gamma_opt_grid=TWO_PI * np.array([1e3, 2e3]),
+        mode=mode01, cavity=cavity, g0=TWO_PI * 2.1, gamma_opt_grid=grid,
         noise=phase_noise, detection=detection,
         f_start=156e3, f_step=50.0, n_bins=4001,
         n_averages=100, seed=5, floor=5e-3,
     )
     assert len(specs) == len(truth) == 2
-    for t in truth:
+    for t, gamma_opt in zip(truth, grid):
         assert t["a_eff_hz2"] == pytest.approx(
             t["a2_hz2"] + t["a3_hz2"] / math.tan(
                 sc.sideband_angle(cavity, mode01.omega_m)
             ),
             rel=1e-10,
+        )
+        # the truth is the forward model's own coefficients at that drive
+        # point, bit for bit
+        drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=float(gamma_opt))
+        coeffs, budget = spectra.model_coefficients(mode01, cavity, drive, phase_noise)
+        assert (
+            t["n_eff"], t["gamma_eff_hz"], t["omega_eff_hz"], t["a2_hz2"], t["a3_hz2"]
+        ) == (
+            budget.n_eff, budget.gamma_eff / TWO_PI, budget.omega_eff / TWO_PI,
+            coeffs.a2, coeffs.a3,
         )
     # more cooling lowers the occupancy
     assert truth[1]["n_eff"] < truth[0]["n_eff"]
