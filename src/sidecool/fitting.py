@@ -95,7 +95,7 @@ class FitProblem:
     (n_params, n_data) array. model must be a pure function of params, and
     the filler must bind every value it needs when model is called, so that
     it gives the same result whenever it is called. nlls_fit overwrites the
-    values array with the weighted residual, so model must return a fresh,
+    values array with the residual, so model must return a fresh,
     writable float array on each call, one that neither the filler nor a
     later call reads."""
 
@@ -211,61 +211,59 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     Gauss-Newton normal matrix scaled by the reduced chi^2, made exactly
     symmetric.
 
-    Each linearization works on the weighted Jacobian J_w = J sqrt(w), one
-    buffer that the model's filler writes and the weights scale in place:
-    N = J_w J_w^T, the gradient is J_w r_w and chi^2 = r_w . r_w, with the
-    weighted residual r_w = sqrt(w) (data - model) formed in the array the
-    model returned.
+    Each linearization works on two buffers: the Jacobian J, which the
+    model's filler writes, and its weighted copy J w. N = (J w) J^T is one
+    general matrix product, averaged with its transpose to be exactly
+    symmetric; the gradient is J (w r) and chi^2 = r . (w r), with the
+    residual r = data - model formed in the array the model returned.
     """
     bounds = problem.bounds or [(None, None)] * problem.initial_params.size
     lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
     hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
     params = np.clip(problem.initial_params, lo, hi)
-    data, sqrt_w = problem.data, np.sqrt(problem.weights)
+    data, weights = problem.data, problem.weights
 
     def evaluated(params):
-        # The weighted residual r_w = sqrt(w) (data - model) is formed in the
-        # array the model returned. The filler is dropped right after its
-        # linearization or rejection: arrays kept alive across the next model
-        # call leave holes at the heap top that glibc trims and re-faults.
+        # The residual r = data - model is formed in the array the model
+        # returned, and only w r is kept. The filler is dropped right after
+        # its linearization or rejection: arrays kept alive across the next
+        # model call leave holes at the heap top that glibc trims and
+        # re-faults.
         values, fill = problem.model(params)
         np.subtract(data, values, out=values)
-        values *= sqrt_w
-        return values, float(values @ values), fill
+        w_resid = weights * values
+        return w_resid, float(values @ w_resid), fill
 
-    resid, chi2, fill = evaluated(params)
+    w_resid, chi2, fill = evaluated(params)
     lam = LAMBDA_START
     n_iter = 0
     converged = False
 
-    # One Jacobian buffer per fit, which the filler writes and the weights
-    # scale in place, at the head of a block three times its size. Fresh
-    # buffers per step land on the heap top, and glibc trims and re-faults
-    # those pages step after step. Across fits, glibc's dynamic thresholds
-    # decide: a freed mmap-ed block sets the mmap threshold to its size and
-    # the trim threshold to twice that. A fit frees the block and the model
-    # arrays above it at the heap top, 1.1-1.2 MB at 4001 bins and 10
-    # parameters. A 960 KB block sets a 1.9 MB trim threshold, above that,
-    # so the next fit reuses the heap as it is: 0-1 minor faults per warm
-    # 12-spectrum campaign in the benchmark's synthesize-then-analyze loop.
-    # A 640 KB block (1.28 MB threshold) was trimmed in about every other
-    # campaign, some 2,600 faults each time, and the 320 KB buffer alone
-    # took about 1,500 faults per campaign. Holding a buffer across fits
-    # would need module-level state.
-    jac_w = np.empty((3, params.size, sqrt_w.size))[0]
+    # The Jacobian and its weighted copy share one allocation per fit, which
+    # the filler and the weights overwrite in place: fresh buffers per step
+    # land on the heap top, and glibc trims and re-faults those pages step
+    # after step. At the band fit's 950-1250 rows and 10 parameters the
+    # allocation is 150-200 KB, above glibc's initial 128 KB mmap threshold;
+    # a freed mmap-ed block raises that threshold to its size, so after the
+    # first fits the allocation comes from the heap: 0-8 minor faults per
+    # warm 12-spectrum campaign in the benchmark's synthesize-then-analyze
+    # loop. Padding the block to two or three times its size gave 0-7 and
+    # 0-102. Holding buffers across fits would need module-level state.
+    jac, jac_w = np.empty((2, params.size, weights.size))
 
     def linearized(fill):
-        # Fill and weight jac_w and return the normal matrix J_w J_w^T,
+        # Fill jac and jac_w = jac w, and return the normal matrix (J w) J^T,
         # exactly symmetric. The loop ends at the point of the last one
         # built, so it also gives the covariance.
-        fill(jac_w)
-        np.multiply(jac_w, sqrt_w, out=jac_w)
-        return jac_w @ jac_w.T
+        fill(jac)
+        np.multiply(jac, weights, out=jac_w)
+        normal = jac_w @ jac.T
+        return 0.5 * (normal + normal.T)
 
     normal = linearized(fill)
     fill = None
     while True:
-        grad = jac_w @ resid
+        grad = jac @ w_resid
         # Parameters on a bound with the descent direction pointing outside
         # stay frozen this iteration; solving for them anyway makes the
         # projected step zigzag and the fit crawl. Parameters with no local
@@ -286,7 +284,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
                 converged = not pinned and predicted <= REL_TOL * chi2
                 if converged or n_iter == MAX_ITERATIONS:
                     break
-            resid_t, chi2_t, fill = evaluated(trial)
+            w_resid_t, chi2_t, fill = evaluated(trial)
             if math.isfinite(chi2_t) and chi2_t <= chi2 * (1.0 + 1e-12) + 1e-300:
                 break
             fill = None
@@ -299,7 +297,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
             break
         n_iter += 1
         decrease = chi2 - chi2_t
-        params, resid, chi2 = trial, resid_t, chi2_t
+        params, w_resid, chi2 = trial, w_resid_t, chi2_t
         lam = max(lam / 3.0, 1e-14)
         normal = linearized(fill)
         fill = None
@@ -347,6 +345,9 @@ def nlls_fit(problem: FitProblem) -> FitResult:
 
 SMOOTH_BINS = 10  # moving-average width of the local level, in bins
 SPURIOUS_SIGMA = 5.0  # outlier threshold of _spurious_bin_mask
+BLOCK_EPS = 2e-5  # largest h^2 |m''/m| / 24 of a block of width h in a band fit
+MAX_BLOCK_BINS = 32  # bins in the widest block, a power of two
+SINGLE_WIDTHS = 2.0  # start widths around the peak and the beat kept as single bins
 
 
 def _moving_average(values: np.ndarray) -> np.ndarray:
@@ -398,11 +399,14 @@ def _retained_mask(f: np.ndarray, exclusion_windows) -> np.ndarray:
     return keep
 
 
-def _background_bounds(f: np.ndarray, f_step: float):
+def _background_bounds(f: np.ndarray, f_step: float, start: np.ndarray):
     """Bounds of the six parameters of BackgroundModel.on_grid in a fit on
-    the grid f (Hz) of bin width f_step."""
+    the grid f (Hz) of bin width f_step from the _background_start start. A
+    start with no beat note pins the beat amplitude at 0, so the fit moves
+    the tail alone."""
+    beat_amp = (0.0, None) if start[5] != 0.0 else (0.0, 0.0)
     bounds = [(0.0, None), (0.0, None), (0.1, 6.0)]
-    return bounds + [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), (0.0, None)]
+    return bounds + [(f[0], f[-1]), (2.0 * f_step, f[-1] - f[0]), beat_amp]
 
 
 def _pivoted(f_pivot: float, offset, amp, exponent, *beat) -> BackgroundModel:
@@ -463,9 +467,7 @@ def fit_background(
     f = spectrum.frequencies
     level = _level_and_variance(spectrum.values, spectrum.n_averages)
     keep, f_pivot, start = _background_start(spectrum, f, exclusion_windows, level)
-    bounds = _background_bounds(f[keep], spectrum.f_step)
-    if start[5] == 0.0:
-        bounds[5] = (0.0, 0.0)
+    bounds = _background_bounds(f[keep], spectrum.f_step, start)
     fit = nlls_fit(
         FitProblem(
             model=BackgroundModel.on_grid(f[keep], f_pivot),
@@ -571,6 +573,48 @@ def _kept_bins(
     keep |= np.abs(TWO_PI * f - init.omega_eff) < 2.0 * init.gamma_eff
     keep &= _retained_mask(f, exclusion_windows)
     return keep
+
+
+def _blocks(keep: np.ndarray, start: np.ndarray, zones):
+    """The blocks a band fit merges the kept bins into: each block's first
+    bin as an index into the kept bins, and its number of bins.
+
+    Blocks are aligned tiles of the whole grid of 1, 2, 4, ...
+    MAX_BLOCK_BINS bins. A kept bin lies in the widest tile whose bins are
+    all kept, none of them in one of the slices zones, and over which the
+    start model start (on the whole grid) keeps n^2 |d2/start| / 24 <=
+    BLOCK_EPS, with n the tile's bins and d2 the second difference of start
+    at each bin. As n^2 d2 = h^2 m'' for a tile of width h, that bounds the
+    gap between the model's mean over a block and its value at the block's
+    mean frequency, h^2 m'' / 24, to BLOCK_EPS of the model. The grid's
+    first and last bins, which have no second difference, and bins where
+    start <= 0 stay single."""
+    n = keep.size
+    mergeable = keep.copy()
+    for zone in zones:
+        mergeable[zone] = False
+    middle = start[1:-1]
+    mergeable[1:-1] &= middle > 0
+    d2 = start[2:] + start[:-2]
+    d2 -= 2.0 * middle
+    # |d2/start| per bin, infinite where a bin may not merge and on the
+    # padding up to whole tiles of MAX_BLOCK_BINS
+    curvature = np.full(n + -n % MAX_BLOCK_BINS, np.inf)
+    np.divide(np.abs(d2, out=d2), middle, out=curvature[1 : n - 1], where=mergeable[1:-1])
+    first = np.ones(curvature.size, dtype=bool)
+    tile = 1
+    while tile < MAX_BLOCK_BINS:
+        # A tile merges when its curvature allows, and its curvature is the
+        # larger of its halves', so every tile inside a merged one merges
+        # too. A bin 2^k (2j + 1) heads the tiles of 2^k bins and fewer it
+        # lies in, and no wider one, so it heads a block unless its tile of
+        # 2^(k+1) bins merges.
+        tile *= 2
+        curvature = np.maximum(curvature[0::2], curvature[1::2])
+        np.greater(curvature, 24.0 * BLOCK_EPS / (tile * tile), out=first[tile // 2 :: tile])
+    heads = first[:n][keep]
+    starts = np.flatnonzero(heads)
+    return starts, np.ediff1d(starts, to_end=heads.size - starts[-1])
 
 
 def _peak_result(fit: FitResult, rows, theta, window, keep):
@@ -973,16 +1017,31 @@ def analyze_peak(
     search window and subtracted inside it, gives the starting peak; no LM
     fit runs before the one that follows. That one fit over the full band
     takes the flat level a0, the lineshape, the power-law tail and the beat
-    note together, so a broad peak's wings cannot leak into the tail. It weights
-    each bin by the inverse of the variance from the spectrum's smoothed
-    level, and leaves out the spurious bins away from the starting peak and
-    the caller's exclusion_windows.
+    note together, so a broad peak's wings cannot leak into the tail. It
+    leaves out the spurious bins away from the starting peak and the
+    caller's exclusion_windows. A start with no beat note pins the beat
+    amplitude at 0 by its bounds, as in fit_background.
+
+    The fit's rows are blocks of the kept bins (_blocks): runs of 1 to
+    MAX_BLOCK_BINS consecutive kept bins, merged only where the start model
+    (background start plus starting peak) is so smooth that its mean over a
+    block and its value at the block's mean frequency differ by at most
+    BLOCK_EPS of it. Bins within SINGLE_WIDTHS start widths of the starting
+    peak and of the beat note stay single, and no block spans a left-out
+    bin. A block of n bins is an average of n M-average periodogram bins, a
+    chi^2_{2Mn}-scaled variable (Appourchaux, A&A 412, 903 (2003)): its
+    datum is the mean of its bins, its variance the sum of theirs over n^2,
+    each bin's variance being S_smooth^2 / M from the spectrum's smoothed
+    level, so its weight is about M n / S^2; its model is the band model at
+    the block's mean frequency, with |C(w)|^2 the mean over its bins. The
+    phase and amplitude campaigns' 4001-bin spectra fit 950-1250 rows.
 
     a0 is the only flat level, so the background has tail_offset = 0.
     window is the peak's reach, the fitted centre +- max(15 effective
     widths, 60 bins) clipped to the band. A fit whose gamma_eff ends on its
     lower bound of one bin, 2 pi f_step, raises PeakNotFoundError: it has
-    fitted a spike, not a resolved peak.
+    fitted a spike, not a resolved peak. That holds also for a fit that runs
+    out of iterations there; any other FitConvergenceError propagates.
 
     grid is PeakGrid(spectrum.frequencies, detection), built here when it is
     None; spectra on one grid can share it. A grid built for other
@@ -999,13 +1058,15 @@ def analyze_peak(
         spectrum, f, [*exclusion_windows, search_window], level
     )
     # the peak's start, from the search window of the start-subtracted values
+    start = BackgroundModel.on_grid(f, f_pivot)(params)[0]
     sl = spectrum.window_slice(*search_window)
-    clean = spectrum.values[sl] - BackgroundModel.on_grid(f[sl], f_pivot)(params)[0]
-    init = _guess_in_window(f[sl], clean, spectrum.f_step, detection, grid[sl])
+    init = _guess_in_window(
+        f[sl], spectrum.values[sl] - start[sl], spectrum.f_step, detection, grid[sl]
+    )
 
     keep = _kept_bins(spectrum, f, level, init, exclusion_windows)
     f_k = f[keep]
-    bounds = _background_bounds(f_k, spectrum.f_step)
+    bounds = _background_bounds(f_k, spectrum.f_step, params)
 
     # the start's offset plus the level under its peak
     x0 = np.concatenate([params, init.as_array()[1:]])
@@ -1013,17 +1074,39 @@ def analyze_peak(
     w_lo, w_hi = TWO_PI * f_k[0], TWO_PI * f_k[-1]
     bounds += [(None, None), (None, None), (w_lo, w_hi)]
     bounds.append((TWO_PI * spectrum.f_step, w_hi - w_lo))
-    fit = nlls_fit(
-        FitProblem(
-            # fit_background's six parameters, whose offset is the flat
-            # level a0, then a2, a3, omega_eff and gamma_eff
-            model=_with_lineshape(BackgroundModel.on_grid(f_k, f_pivot), 6, grid[keep]),
-            data=spectrum.values[keep],
-            weights=1.0 / level[1][keep],
-            initial_params=x0,
-            bounds=bounds,
+
+    # the start model, the background start plus the starting peak, sets
+    # where the fit's rows merge bins into blocks
+    start += init.a0
+    start += grid.model(x0[6:])[0]
+    zones = [
+        spectrum.window_slice(centre - reach, centre + reach)
+        for centre, reach in (
+            (init.omega_eff / TWO_PI, SINGLE_WIDTHS * init.gamma_eff / TWO_PI),
+            (params[3], SINGLE_WIDTHS * params[4]),
         )
+    ]
+    starts, counts = _blocks(keep, start, zones)
+    blocks = grid.merged(keep, starts, counts)
+    problem = FitProblem(
+        # fit_background's six parameters, whose offset is the flat level
+        # a0, then a2, a3, omega_eff and gamma_eff
+        model=_with_lineshape(
+            BackgroundModel.on_grid(blocks.w / TWO_PI, f_pivot), 6, blocks
+        ),
+        data=np.add.reduceat(spectrum.values[keep], starts) / counts,
+        weights=counts * counts / np.add.reduceat(level[1][keep], starts),
+        initial_params=x0,
+        bounds=bounds,
     )
+    try:
+        fit = nlls_fit(problem)
+    except FitConvergenceError as exc:
+        # a fit that runs out of steps with its width on the bound is judged
+        # by its width, as a converged one is
+        if exc.best is None or exc.best.params[9] > bounds[9][0]:
+            raise
+        fit = exc.best
     p = fit.params
     if p[9] <= bounds[9][0]:
         # a width of one bin is a spike or a bump too narrow to resolve, and

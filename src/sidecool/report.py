@@ -54,7 +54,10 @@ _COEFFS = (
 class PeakFitResult:
     """Joint Lorentzian+dispersive peak fit, with the 5x5 covariance of its
     coeffs, and the effective area a_eff = a2 + a3/tan(theta).
-    lorentzian_preferred flags a dispersive weight a3 within one sigma of zero."""
+    lorentzian_preferred flags a dispersive weight a3 within one sigma of zero.
+    n_points and n_excluded count spectrum bins, fitted and left out. A fit
+    that merges bins into blocks has fewer rows than n_points, and its
+    reduced_chi2 is chi^2 over rows minus fitted parameters."""
 
     coeffs: LineshapeCoeffs
     covariance: np.ndarray

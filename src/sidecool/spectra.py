@@ -337,7 +337,8 @@ class PeakGrid:
     is computed once here rather than on every model evaluation. Parameter
     vectors are (a2, a3, omega_eff, gamma_eff), LineshapeCoeffs.as_array()[1:];
     the flat level is left to the caller. grid[keep] is the same grid on the
-    bins a boolean mask keeps, without computing |C(w)|^2 again.
+    bins a boolean mask keeps, without computing |C(w)|^2 again, and
+    grid.merged(keep, starts, counts) the grid of blocks of those bins.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
@@ -348,6 +349,16 @@ class PeakGrid:
     def __getitem__(self, keep: np.ndarray) -> "PeakGrid":
         sub = copy.copy(self)
         sub.w, sub.c_sq = self.w[keep], self.c_sq[keep]
+        return sub
+
+    def merged(self, keep: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> "PeakGrid":
+        """The grid of blocks of the bins a boolean mask keeps: block i is
+        counts[i] consecutive kept bins from kept bin starts[i] on. Its w is
+        the mean of its bins', the block's mean frequency, and its |C(w)|^2
+        the mean of theirs."""
+        sub = copy.copy(self)
+        sub.w = np.add.reduceat(self.w[keep], starts) / counts
+        sub.c_sq = np.add.reduceat(self.c_sq[keep], starts) / counts
         return sub
 
     def model(self, params: np.ndarray):
