@@ -1,8 +1,11 @@
 """Command-line front end: synth | fit-peak | cooling-curve | predict | convert.
 
 Diagnostics go to stderr; machine-readable output goes to files or stdout.
-Exit code 0 means a complete result was written. I/O errors, invalid values
-and failed fits exit 1 with one ``error:`` line on stderr.
+Exit code 0 means a complete result was written. Every refusal exits 1 with
+one ``error:`` line on stderr: I/O errors, invalid values and failed fits,
+and argparse's own (a missing or unknown option, a bad choice, a value that
+does not parse or breaks its option's rule, as in
+``error: argument --min: must be finite``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,45 @@ def _fail(message: str) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise ValueError, so that main ends
+    them in one error: line and exit 1 like every other refusal."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _checked(parse, rule: str, test):
+    """An argparse type: the value parse reads from the text, refused with
+    rule when test (written so that NaN fails) does not hold. Text that
+    parse cannot read gets argparse's "invalid float value: 'abc'", which
+    names the type by parse's name."""
+
+    def read(text: str):
+        value = parse(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    read.__name__ = parse.__name__
+    return read
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+_float_list.__name__ = "comma-separated float"  # argparse's name for the type
+
+_COUNT = _checked(int, "must be at least 1", lambda v: v >= 1)
+_POSITIVE_FINITE = _checked(float, "must be positive and finite", lambda v: 0 < v < math.inf)
+_FINITE = _checked(float, "must be finite", math.isfinite)
+_NOT_NEGATIVE = _checked(float, "must be finite and not negative", lambda v: 0 <= v < math.inf)
+_FINITE_LIST = _checked(
+    _float_list, "entries must be finite", lambda v: all(map(math.isfinite, v))
+)
+
+
 def _load_config(args):
     """The experiment config and the mechanical mode --mode-index selects."""
     config = dataio.load_config(args.config)
@@ -54,7 +96,7 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sidecool",
         description="Forward modeling and thermometry for resolved-sideband "
         "cavity cooling of a membrane.",
@@ -65,26 +107,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p_synth)
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--n-averages", type=int, default=200)
+    p_synth.add_argument("--n-averages", type=_COUNT, default=200)
     p_synth.add_argument(
         "--gamma-opt-hz",
-        type=lambda s: [float(x) for x in s.split(",")],
+        type=_FINITE_LIST,
         default=None,
         help="comma-separated optical damping grid (Hz); default is a log "
         "grid of 8 points around the predicted optimum",
     )
     p_synth.add_argument(
-        "--points", type=int, default=None,
+        "--points", type=_COUNT, default=None,
         help="number of points of the default grid (8); not with --gamma-opt-hz",
     )
-    p_synth.add_argument("--f-start-hz", type=float, default=None)
-    p_synth.add_argument("--f-stop-hz", type=float, default=None)
-    p_synth.add_argument("--f-step-hz", type=float, default=25.0)
-    p_synth.add_argument("--floor", type=float, default=1e-4, help="flat PSD floor (Hz^2/Hz)")
-    p_synth.add_argument("--beat-center-hz", type=float, default=None)
-    p_synth.add_argument("--beat-amplitude", type=float, default=None)
-    p_synth.add_argument("--tail-amplitude", type=float, default=None)
-    p_synth.add_argument("--raw-scale", type=float, default=1.0,
+    p_synth.add_argument("--f-start-hz", type=_POSITIVE_FINITE, default=None)
+    p_synth.add_argument("--f-stop-hz", type=_FINITE, default=None)
+    p_synth.add_argument("--f-step-hz", type=_POSITIVE_FINITE, default=25.0)
+    p_synth.add_argument(
+        "--floor", type=_NOT_NEGATIVE, default=1e-4, help="flat PSD floor (Hz^2/Hz)"
+    )
+    p_synth.add_argument("--beat-center-hz", type=_FINITE, default=None)
+    p_synth.add_argument("--beat-amplitude", type=_NOT_NEGATIVE, default=None)
+    p_synth.add_argument("--tail-amplitude", type=_NOT_NEGATIVE, default=None)
+    p_synth.add_argument("--raw-scale", type=_POSITIVE_FINITE, default=1.0,
                          help="overall scale distortion; != 1 tags the output raw")
 
     p_fit = sub.add_parser("fit-peak", help="fit one spectrum's mechanical peak")
@@ -105,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--sweep", choices=["detuning", "gamma-opt", "quality-factor"], required=True
     )
-    p_pred.add_argument("--min", type=float, required=True)
-    p_pred.add_argument("--max", type=float, required=True)
-    p_pred.add_argument("--points", type=int, default=21)
+    p_pred.add_argument("--min", type=_FINITE, required=True)
+    p_pred.add_argument("--max", type=_FINITE, required=True)
+    p_pred.add_argument("--points", type=_COUNT, default=21)
     p_pred.add_argument("--log", action="store_true")
     p_pred.add_argument("--out", default=None, help="TSV output (default stdout)")
 
@@ -117,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["snn-to-sphiphi", "sphiphi-to-snn", "snn-to-sll", "sll-to-snn"],
         required=True,
     )
-    p_conv.add_argument("--value", type=float, required=True)
-    p_conv.add_argument("--frequency-hz", type=float, default=None)
+    p_conv.add_argument("--value", type=_NOT_NEGATIVE, required=True)
+    p_conv.add_argument("--frequency-hz", type=_POSITIVE_FINITE, default=None)
     p_conv.add_argument("--config", default=None)
 
     return parser
@@ -149,38 +193,7 @@ def _default_background(mode_f: float, floor: float, args) -> spectra.Background
     )
 
 
-# (options, rule, test) for synth's numeric options; each test is written so
-# that NaN fails, and an option left unset is not tested.
-_SYNTH_RULES = (
-    ("f_step_hz points raw_scale", "must be positive", lambda v: v > 0),
-    ("n_averages", "must be at least 1", lambda v: v >= 1),
-    ("f_start_hz", "must be positive and finite", lambda v: 0 < v < math.inf),
-    ("f_stop_hz beat_center_hz", "must be finite", math.isfinite),
-    (
-        "floor tail_amplitude beat_amplitude",
-        "must be finite and not negative",
-        lambda v: 0 <= v < math.inf,
-    ),
-    ("gamma_opt_hz", "entries must be finite", lambda v: all(map(math.isfinite, v))),
-)
-
-
-def _broken_rule(args, rules) -> str | None:
-    """The error text of the first option in rules, (options, rule, test)
-    triples, whose value fails its test; an option left unset is not
-    tested."""
-    for options, rule, test in rules:
-        for option in options.split():
-            value = getattr(args, option)
-            if value is not None and not test(value):
-                return f"--{option.replace('_', '-')} {rule}"
-    return None
-
-
 def cmd_synth(args) -> int:
-    error = _broken_rule(args, _SYNTH_RULES)
-    if error:
-        return _fail(error)
     if args.gamma_opt_hz is not None and args.points is not None:
         return _fail("--points plays no part when --gamma-opt-hz is given")
     config, mode = _load_config(args)
@@ -430,30 +443,16 @@ def _predict_row(value, mode, cavity, g0, noise, gamma_opt=None):
     ]
 
 
-# (when, options, rule, test) for predict's sweep options: when is the
-# --sweep choice a rule holds for, "--log", or None for every sweep. Each
-# test is written so that NaN fails. A sweep value that passes them but is
-# physically unstable is an "unstable" row, not an error.
-_PREDICT_RULES = (
-    (None, "min max", "must be finite", math.isfinite),
-    (None, "points", "must be at least 1", lambda v: v >= 1),
-    (
-        "quality-factor", "min", "must be positive for a quality-factor sweep",
-        lambda v: v > 0,
-    ),
-    (
-        "gamma-opt", "min", "must not be negative for a gamma-opt sweep",
-        lambda v: v >= 0,
-    ),
-    ("--log", "min", "must be positive with --log", lambda v: v > 0),
-)
-
-
 def cmd_predict(args) -> int:
-    applies = {None, args.sweep, "--log" if args.log else None}
-    error = _broken_rule(args, [r[1:] for r in _PREDICT_RULES if r[0] in applies])
-    if error:
-        return _fail(error)
+    # --min and --max are finite by their type; a sweep value that passes
+    # these rules but is physically unstable is an "unstable" row, not an
+    # error
+    if args.sweep == "quality-factor" and args.min <= 0:
+        return _fail("--min must be positive for a quality-factor sweep")
+    if args.sweep == "gamma-opt" and args.min < 0:
+        return _fail("--min must not be negative for a gamma-opt sweep")
+    if args.log and args.min <= 0:
+        return _fail("--min must be positive with --log")
     if args.max <= args.min:
         return _fail("--max must exceed --min")
     config, mode = _load_config(args)
@@ -502,16 +501,7 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_CONVERT_RULES = (
-    ("value", "must be finite and not negative", lambda v: 0 <= v < math.inf),
-    ("frequency_hz", "must be positive and finite", lambda v: 0 < v < math.inf),
-)
-
-
 def cmd_convert(args) -> int:
-    error = _broken_rule(args, _CONVERT_RULES)
-    if error:
-        return _fail(error)
     quantity = args.quantity
     phase = quantity in ("snn-to-sphiphi", "sphiphi-to-snn")
     # each conversion reads --frequency-hz or --config, never both
@@ -539,7 +529,6 @@ def cmd_convert(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "synth": cmd_synth,
         "fit-peak": cmd_fit_peak,
@@ -548,6 +537,7 @@ def main(argv=None) -> int:
         "convert": cmd_convert,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (
         OSError,

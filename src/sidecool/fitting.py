@@ -315,12 +315,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     cov = np.zeros_like(normal)
     np.fill_diagonal(cov, np.inf)
     try:
-        if live.all():
-            cov = np.linalg.inv(normal) * reduced
-        elif live.any():
-            cov[np.ix_(live, live)] = (
-                np.linalg.inv(normal[np.ix_(live, live)]) * reduced
-            )
+        cov[np.ix_(live, live)] = np.linalg.inv(normal[np.ix_(live, live)]) * reduced
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("singular normal matrix at the solution") from exc
     # the inverse is symmetric only to rounding; averaging makes it exact
@@ -879,23 +874,14 @@ def extract_noise_psd(
     s_eps = coupling / a_fac**2
     s_nu = convert_phase_noise(s_phi, mode.omega_m)
 
-    if dominance == "phase-dominated":
-        dominant = "phase"
-        phase_limit, amp_limit = False, True
-    elif dominance == "amplitude-dominated":
-        dominant = "amplitude"
-        phase_limit, amp_limit = True, False
-    else:
-        dominant = None
-        phase_limit = amp_limit = True
-
+    dominant = {"phase-dominated": "phase", "amplitude-dominated": "amplitude"}.get(dominance)
     return NoiseExtraction(
         s_phi_phi=s_phi,
         s_phi_phi_sigma=s_phi * rel,
-        s_phi_phi_is_limit=phase_limit,
+        s_phi_phi_is_limit=dominant != "phase",
         s_eps_eps=s_eps,
         s_eps_eps_sigma=s_eps * rel,
-        s_eps_eps_is_limit=amp_limit,
+        s_eps_eps_is_limit=dominant != "amplitude",
         s_nu_nu=s_nu,
         s_nu_nu_sigma=s_nu * rel,
         dominant=dominant,

@@ -513,7 +513,7 @@ def synthesize_measured_spectrum(
     """
     if n_averages < 1:
         raise ValueError("n_averages must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dof = 2 * n_averages
     values = model.values * rng.chisquare(dof, size=model.values.size) / dof
     if tone is not None:
@@ -545,7 +545,7 @@ def synthesize_campaign(
     Returns the spectra and, per point, the ground-truth parameters the
     inverse pipeline is supposed to recover.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     spectra: list[Spectrum] = []
     truth: list[dict] = []
     for gamma_opt in np.asarray(gamma_opt_grid, dtype=float):

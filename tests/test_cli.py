@@ -112,8 +112,10 @@ def _config_without(config_path, tmp_path, key) -> str:
     [
         ("--f-step-hz", "0"),
         ("--f-step-hz", "-50"),
+        ("--f-step-hz", "inf"),
         ("--points", "0"),
         ("--raw-scale", "0"),
+        ("--raw-scale", "inf"),  # refused before the output directory is made
         ("--f-start-hz", "nan"),
         ("--f-start-hz", "inf"),
         ("--f-stop-hz", "nan"),
@@ -127,6 +129,8 @@ def _config_without(config_path, tmp_path, key) -> str:
         ("--gamma-opt-hz", "1000,-500,3000"),  # an unstable drive point
         ("--gamma-opt-hz", "200e3"),  # past the spring's static limit, about 153 kHz
         ("--n-averages", "0"),
+        ("--n-averages", "abc"),  # argparse's own refusals end the same way
+        ("--gamma-opt-hz", "1000,abc"),
         ("--f-start-hz", "400e3"),  # above the default stop, 356 kHz
         ("--f-stop-hz", "300e3"),  # below the config's 340 kHz tone
         ("--points", "12 --gamma-opt-hz 1000,2000"),  # --points sizes only the default grid
@@ -470,15 +474,15 @@ def _set(doc, where, value):
 _BAD_PREDICT_OPTIONS = {
     "predict-nan-min": (
         ["--sweep", "gamma-opt", "--min", "nan", "--max", "50e3"],
-        ["--min must be finite"],
+        ["argument --min: must be finite"],
     ),
     "predict-nan-max": (
         ["--sweep", "detuning", "--min=-600e3", "--max", "nan"],
-        ["--max must be finite"],
+        ["argument --max: must be finite"],
     ),
     "predict-zero-points": (
         ["--sweep", "gamma-opt", "--min", "200", "--max", "50e3", "--points", "0"],
-        ["--points must be at least 1"],
+        ["argument --points: must be at least 1"],
     ),
     "predict-zero-q-min": (
         ["--sweep", "quality-factor", "--min", "0", "--max", "1e7", "--points", "3"],
@@ -526,18 +530,39 @@ _BAD_WINDOWS = {
 # case -> (convert's options, and the texts its error line shows)
 _BAD_CONVERT_OPTIONS = {
     "convert-nan-value": (
-        ["--value", "nan", "--frequency-hz", "256e3"], ["--value must be finite"]
+        ["--value", "nan", "--frequency-hz", "256e3"], ["argument --value: must be finite"]
     ),
     "convert-negative-value": (
-        ["--value=-1", "--frequency-hz", "256e3"], ["--value must be finite and not negative"]
+        ["--value=-1", "--frequency-hz", "256e3"],
+        ["argument --value: must be finite and not negative"],
     ),
     "convert-infinite-frequency": (
-        ["--value", "2.2e-2", "--frequency-hz", "inf"], ["--frequency-hz must be positive"]
+        ["--value", "2.2e-2", "--frequency-hz", "inf"],
+        ["argument --frequency-hz: must be positive"],
     ),
     "convert-sphiphi-with-config": (
         ["--value", "1e-2", "--frequency-hz", "5", "--config", "/nonexistent.json"],
         ["--config plays no part in --quantity snn-to-sphiphi"],
     ),
+}
+
+
+# case -> (the whole argv, and the texts its error line shows): argparse's
+# own refusals, which come before any file is read
+_BAD_ARGUMENTS = {
+    "fit-peak-without-spectrum-or-out": (
+        ["fit-peak", "--config", "config.json"],
+        ["the following arguments are required: --spectrum, --out"],
+    ),
+    "predict-bogus-sweep": (
+        ["predict", "--config", "config.json", "--sweep", "bogus", "--min", "1", "--max", "2"],
+        ["argument --sweep: invalid choice: 'bogus'"],
+    ),
+    "unknown-option": (
+        ["convert", "--quantity", "snn-to-sphiphi", "--value", "1", "--bogus", "2"],
+        ["unrecognized arguments: --bogus 2"],
+    ),
+    "no-command": ([], ["the following arguments are required: command"]),
 }
 
 
@@ -565,6 +590,8 @@ def _bad_input_argv(case, tmp_path, config_path):
     if case == "predict-without-g0":
         return ["predict", "--config", _config_without(config_path, tmp_path, "g0_hz"),
                 "--sweep", "gamma-opt", "--min", "200", "--max", "50e3", *out]
+    if case in _BAD_ARGUMENTS:
+        return _BAD_ARGUMENTS[case][0]
     if case in _BAD_CONVERT_OPTIONS:
         return ["convert", "--quantity", "snn-to-sphiphi", *_BAD_CONVERT_OPTIONS[case][0]]
     if case == "fit-peak-raw-units":
@@ -671,6 +698,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         *_BAD_FRAGMENT_VALUES,
         *_BAD_PREDICT_OPTIONS,
         *_BAD_CONVERT_OPTIONS,
+        *_BAD_ARGUMENTS,
         *_SWEEPS_WITHOUT_NOISE,
         *_BAD_WINDOWS,
     ],
@@ -706,7 +734,9 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         named[bad] = [str(tmp_path / "bad_config.json"), *texts]
     for bad, (_, _, texts) in _BAD_FRAGMENT_VALUES.items():
         named[bad] = [str(tmp_path / "frag_0.json"), *texts]
-    for bad, (_, texts) in (*_BAD_PREDICT_OPTIONS.items(), *_BAD_CONVERT_OPTIONS.items()):
+    for bad, (_, texts) in (
+        *_BAD_PREDICT_OPTIONS.items(), *_BAD_CONVERT_OPTIONS.items(), *_BAD_ARGUMENTS.items()
+    ):
         named[bad] = texts
     for bad, options in _SWEEPS_WITHOUT_NOISE.items():
         named[bad] = [f"--sweep {options[1]}", "noise section"]

@@ -217,6 +217,24 @@ def test_nlls_dead_parameter_gets_infinite_variance():
     assert math.isinf(fit.covariance[1, 1])
 
 
+def test_nlls_no_live_parameter_at_the_solution_gets_infinite_variance():
+    """p^2 x against data it cannot reach: the first step pins p on its
+    bound 0, where the Jacobian vanishes, and lowers chi^2 by less than
+    REL_TOL chi^2, so the fit ends there with no live parameter."""
+    x = np.linspace(1.0, 5.0, 30)
+    fit = nlls_fit(_problem(
+        model=lambda p: p[0] ** 2 * x,
+        data=-x,
+        weights=np.ones_like(x),
+        initial_params=np.array([1e-6]),
+        jacobian=lambda p: (2.0 * p[0] * x)[:, None],
+        bounds=[(0.0, None)],
+    ))
+    assert fit.params[0] == 0.0
+    assert fit.n_iterations == 1
+    assert fit.covariance.tolist() == [[math.inf]]
+
+
 def test_fit_problem_rejects_too_few_points():
     with pytest.raises(ValueError):
         _problem(
@@ -614,6 +632,21 @@ def test_fit_peak_exact_on_noiseless_model(cavity, mode01, detection, phase_nois
     assert res.coeffs.gamma_eff / TWO_PI == pytest.approx(budget.gamma_eff / TWO_PI, rel=1e-8)
     assert res.a_eff == pytest.approx(2.1**2 * (2 * budget.n_eff + 1), rel=1e-6)
     assert not res.lorentzian_preferred
+
+
+def test_fit_peak_warns_on_a_window_narrower_than_ten_widths(
+    cavity, mode01, detection, phase_noise
+):
+    """A 24 kHz window about a 3 kHz wide peak warns, and the noiseless fit
+    still recovers the width and a_eff."""
+    model = _peak_setup(cavity, mode01, detection, phase_noise)
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    _, budget = _peak_truth(cavity, mode01, phase_noise)
+    f_eff = budget.omega_eff / TWO_PI
+    with pytest.warns(UserWarning, match="narrower than 10 effective widths"):
+        res = fitting.fit_peak(model, (f_eff - 12e3, f_eff + 12e3), detection, theta=theta)
+    assert res.coeffs.gamma_eff == pytest.approx(budget.gamma_eff, rel=1e-6)
+    assert res.a_eff == pytest.approx(2.1**2 * (2 * budget.n_eff + 1), rel=1e-6)
 
 
 def test_fit_peak_prefers_lorentzian_without_phase_noise(

@@ -148,6 +148,35 @@ def _model(cavity, mode, detection, noise, gamma_opt_hz, floor, **kw):
     )
 
 
+@pytest.mark.parametrize("detuning_hz", [0.0, -480e3])
+def test_undriven_point_is_the_thermal_peak(cavity, mode01, phase_noise, detuning_hz):
+    """At gamma_opt = 0 no sideband response enters, also at Delta = 0,
+    where the sideband angle is undefined: the spring leaves Omega_m, the
+    mode sits at n_th, and the lineshape is a Lorentzian of weight
+    g^2 (2 n_th + 1)."""
+    cavity = dataclasses.replace(cavity, detuning=TWO_PI * detuning_hz)
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=0.0)
+    g_hz, n_th = drive.g0 / TWO_PI, sc.thermal_occupation(mode01)
+    if detuning_hz == 0.0:
+        with pytest.raises(ValueError, match="undefined"):
+            sc.sideband_angle(cavity, mode01.omega_m)
+    assert sc.spring_shift(cavity, mode01, drive) == mode01.omega_m
+    assert sc.effective_occupancy(mode01, cavity, drive, phase_noise).n_eff == n_th
+    coeffs, _ = spectra.model_coefficients(mode01, cavity, drive, phase_noise)
+    assert coeffs.a3 == 0.0
+    assert coeffs.a2 == pytest.approx(g_hz**2 * (2 * n_th + 1), rel=1e-15)
+
+
+def test_output_psd_warns_outside_weak_coupling(cavity, mode01, detection):
+    """gamma_opt/2pi = 30 kHz is more than a tenth of kappa/2pi = 204 kHz."""
+    drive = DriveField(g0=TWO_PI * 2.1, gamma_opt=TWO_PI * 30e3)
+    with pytest.warns(UserWarning, match="weak-coupling lineshape is inaccurate"):
+        spectra.output_psd(
+            f_start=156e3, f_step=50.0, n_bins=4001, mode=mode01, cavity=cavity,
+            drive=drive, noise=LaserNoise(), detection=detection, floor=5e-3,
+        )
+
+
 def test_output_psd_rejects_nonpositive_model(cavity, mode01, phase_noise, detection):
     with pytest.raises(ValueError, match="not positive"):
         _model(cavity, mode01, detection, phase_noise, 9e3, floor=1e-6)
