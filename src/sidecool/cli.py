@@ -226,7 +226,10 @@ def cmd_synth(args) -> int:
     # floor to the detected-noise level every drive point needs to stay
     # positive (plus margin, so the squashing dip remains visible).
     floor = args.floor
-    f_grid = f_start + args.f_step_hz * np.arange(n_bins)
+    try:
+        f_grid = f_start + args.f_step_hz * np.arange(n_bins)
+    except MemoryError as exc:  # numpy refuses an allocation that cannot succeed
+        return _fail(f"--f-step-hz {args.f_step_hz:g} gives {n_bins} bins over {band}: {exc}")
     for g_hz in grid_hz:
         drive = DriveField(g0=config.g0, gamma_opt=TWO_PI * g_hz)
         try:

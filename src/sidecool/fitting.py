@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -39,6 +39,7 @@ from .spectra import (
     LineshapeCoeffs,
     PeakGrid,
     Spectrum,
+    SpectrumUnits,
     median,
     peak_model,
 )
@@ -205,8 +206,11 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     Only the first trial counts, because a lambda grown by rejections
     shrinks the predicted decrease by itself. It also stops when an accepted
     step lowers chi^2 by at most REL_TOL * chi^2, as when the quadratic
-    model overshoots across a curved valley, and when 25 ever more damped
-    trials all fail to lower chi^2. MAX_ITERATIONS accepted steps without
+    model overshoots across a curved valley. That rule also ends a fit whose
+    trials keep failing, as with a wrong-sign Jacobian or a model that is NaN
+    off its start: after 18-22 rejections the damped step rounds to nothing
+    and the unchanged point is accepted. The stop after 25 failed trials is
+    a guard those cases do not reach. MAX_ITERATIONS accepted steps without
     a stop raise FitConvergenceError. The covariance is the inverse
     Gauss-Newton normal matrix scaled by the reduced chi^2, made exactly
     symmetric.
@@ -492,23 +496,14 @@ def _half_maximum_span(vals: np.ndarray, i_pk: int, half: float) -> tuple[int, i
     return i_lo, i_hi
 
 
-def _guess_in_window(
-    f: np.ndarray,
-    vals: np.ndarray,
-    f_step: float,
-    detection: DetectionConfig,
-    grid: PeakGrid | None = None,
-) -> LineshapeCoeffs:
-    """Starting point for a peak fit from the values vals at the frequencies
-    f of a window: argmax frequency, half-maximum span, and a height-based
-    Lorentzian weight. Raises PeakNotFoundError when the window maximum does
-    not stand out from the median.
-
-    The weight scales the height above the edge level by the unit
-    lineshape's height at the peak bin, |C|^2 L. grid, when the caller holds
-    one, is the PeakGrid of f: L is then written out for that one bin, as
-    PeakGrid.model evaluates it, on the grid's |C|^2. Without it one
-    peak_model call on the peak bin gives the height."""
+def _guess_in_window(f: np.ndarray, vals: np.ndarray, f_step: float):
+    """The bump that starts a peak fit, found in the values vals at the
+    frequencies f of a window without a lineshape model: the unit lineshape
+    (a0 = 0, a2 = 1, a3 = 0) at the argmax frequency, with the half-maximum
+    span as its width; the argmax's index into vals; the edge level a0; and
+    the rise above a0. A fitter sizes the bump with its own model, as a2 =
+    rise / (|C|^2 L at the argmax bin). Raises PeakNotFoundError when the
+    window maximum does not stand out from the median."""
     level = median(vals)
     i_pk = int(np.argmax(vals))  # leftmost on exact ties
     peak = float(vals[i_pk])
@@ -517,22 +512,17 @@ def _guess_in_window(
     edge = np.concatenate([vals[: max(vals.size // 20, 3)], vals[-max(vals.size // 20, 3):]])
     a0 = median(edge)
     i_lo, i_hi = _half_maximum_span(vals, i_pk, a0 + (peak - a0) / 2.0)
-    gamma_hz = max((i_hi - i_lo) * f_step, 2.0 * f_step)
-    omega_eff = TWO_PI * float(f[i_pk])
-    gamma_eff = TWO_PI * gamma_hz
-    if grid is None:
-        unit = LineshapeCoeffs(
-            a0=0.0, a2=1.0, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
-        )
-        height = float(peak_model(f[i_pk : i_pk + 1], unit, detection)[0])
-    else:
-        w, half = float(grid.w[i_pk]), gamma_eff / 2.0
-        u_p, u_m = w - omega_eff, -omega_eff - w
-        lor = half * (1.0 / (u_p * u_p + half * half) + 1.0 / (u_m * u_m + half * half))
-        height = float(grid.c_sq[i_pk]) * lor
-    return LineshapeCoeffs(
-        a0=a0, a2=(peak - a0) / height, a3=0.0, omega_eff=omega_eff, gamma_eff=gamma_eff
-    )
+    gamma_eff = TWO_PI * max((i_hi - i_lo) * f_step, 2.0 * f_step)
+    unit = LineshapeCoeffs(0.0, 1.0, 0.0, TWO_PI * float(f[i_pk]), gamma_eff)
+    return unit, i_pk, a0, peak - a0
+
+
+def _require_calibrated(spectrum: Spectrum) -> None:
+    """Raise ValueError unless spectrum is in Hz^2/Hz: in any other units a
+    peak area is off by an unknown scale."""
+    if spectrum.units is not SpectrumUnits.HZ2_PER_HZ:
+        units = spectrum.units.value
+        raise ValueError(f"spectrum units {units!r} are not calibrated to Hz^2/Hz")
 
 
 def _effective_area(
@@ -667,11 +657,16 @@ def fit_peak(
     a_eff = a2 + a3/tan(theta) and its uncertainty come from the joint fit.
 
     The symmetric (Lorentzian-only) lineshape is flagged as preferred when
-    the fitted a3 is within one sigma of zero.
+    the fitted a3 is within one sigma of zero. A spectrum not calibrated to
+    Hz^2/Hz raises ValueError.
     """
+    _require_calibrated(spectrum)
     sl = spectrum.window_slice(*window)
     f = spectrum.frequencies[sl]
-    init = _guess_in_window(f, spectrum.values[sl], spectrum.f_step, detection)
+    unit, i_pk, a0, rise = _guess_in_window(f, spectrum.values[sl], spectrum.f_step)
+    # fitting's one peak_model call, kept for bench/tracing.py, which counts it
+    height = float(peak_model(f[i_pk : i_pk + 1], unit, detection)[0])
+    init = replace(unit, a0=a0, a2=rise / height)
     if window[1] - window[0] < 10.0 * init.gamma_eff / TWO_PI:
         warnings.warn("fit window narrower than 10 effective widths", stacklevel=2)
 
@@ -1000,13 +995,14 @@ def analyze_peak(
     """Fit one spectrum's mechanical peak and background together.
 
     The closed-form background start of fit_background, taken outside the
-    search window and subtracted inside it, gives the starting peak; no LM
-    fit runs before the one that follows. That one fit over the full band
-    takes the flat level a0, the lineshape, the power-law tail and the beat
-    note together, so a broad peak's wings cannot leak into the tail. It
-    leaves out the spurious bins away from the starting peak and the
-    caller's exclusion_windows. A start with no beat note pins the beat
-    amplitude at 0 by its bounds, as in fit_background.
+    search window and subtracted inside it, leaves the bump _guess_in_window
+    finds; its unit lineshape on grid, scaled to the bump's rise at the peak
+    bin, is the starting peak. No LM fit runs before the one that follows.
+    That one fit over the full band takes the flat level a0, the lineshape,
+    the power-law tail and the beat note together, so a broad peak's wings
+    cannot leak into the tail. It leaves out the spurious bins away from the
+    starting peak and the caller's exclusion_windows. A start with no beat
+    note pins the beat amplitude at 0 by its bounds, as in fit_background.
 
     The fit's rows are blocks of the kept bins (_blocks): runs of 1 to
     MAX_BLOCK_BINS consecutive kept bins, merged only where the start model
@@ -1031,8 +1027,10 @@ def analyze_peak(
 
     grid is PeakGrid(spectrum.frequencies, detection), built here when it is
     None; spectra on one grid can share it. A grid built for other
-    frequencies or another detection raises ValueError.
+    frequencies or another detection raises ValueError, and so does a
+    spectrum not calibrated to Hz^2/Hz.
     """
+    _require_calibrated(spectrum)
     theta = sideband_angle(cavity, mode.omega_m)
     f = spectrum.frequencies
     if grid is None:
@@ -1046,29 +1044,31 @@ def analyze_peak(
     # the peak's start, from the search window of the start-subtracted values
     start = BackgroundModel.on_grid(f, f_pivot)(params)[0]
     sl = spectrum.window_slice(*search_window)
-    init = _guess_in_window(
-        f[sl], spectrum.values[sl] - start[sl], spectrum.f_step, detection, grid[sl]
-    )
+    clean = spectrum.values[sl] - start[sl]
+    unit, i_pk, a0, rise = _guess_in_window(f[sl], clean, spectrum.f_step)
 
-    keep = _kept_bins(spectrum, f, level, init, exclusion_windows)
+    keep = _kept_bins(spectrum, f, level, unit, exclusion_windows)
     f_k = f[keep]
     bounds = _background_bounds(f_k, spectrum.f_step, params)
 
-    # the start's offset plus the level under its peak
-    x0 = np.concatenate([params, init.as_array()[1:]])
-    x0[0] += init.a0
+    # the starting peak, the unit lineshape scaled to the bump's rise at the
+    # peak bin, on the start's offset plus the level under the bump
+    peak = grid.model(unit.as_array()[1:])[0]
+    a2 = rise / float(peak[sl.start + i_pk])
+    x0 = np.concatenate([params, [a2, 0.0, unit.omega_eff, unit.gamma_eff]])
+    x0[0] += a0
     w_lo, w_hi = TWO_PI * f_k[0], TWO_PI * f_k[-1]
     bounds += [(None, None), (None, None), (w_lo, w_hi)]
     bounds.append((TWO_PI * spectrum.f_step, w_hi - w_lo))
 
     # the start model, the background start plus the starting peak, sets
     # where the fit's rows merge bins into blocks
-    start += init.a0
-    start += grid.model(x0[6:])[0]
+    start += a0
+    start += peak * a2
     zones = [
         spectrum.window_slice(centre - reach, centre + reach)
         for centre, reach in (
-            (init.omega_eff / TWO_PI, SINGLE_WIDTHS * init.gamma_eff / TWO_PI),
+            (unit.omega_eff / TWO_PI, SINGLE_WIDTHS * unit.gamma_eff / TWO_PI),
             (params[3], SINGLE_WIDTHS * params[4]),
         )
     ]
@@ -1119,9 +1119,10 @@ def analyze_campaign(
     """Run the full inverse pipeline over a set of cooling-power spectra.
 
     A spectrum whose peak cannot be fitted is skipped with a warning; the
-    campaign proceeds as long as at least three points survive. Spectra on
-    one frequency grid share one PeakGrid, so |C(w)|^2 is computed once per
-    grid rather than once per spectrum.
+    campaign proceeds as long as at least three points survive. A spectrum
+    not calibrated to Hz^2/Hz is not skipped: its ValueError propagates.
+    Spectra on one frequency grid share one PeakGrid, so |C(w)|^2 is
+    computed once per grid rather than once per spectrum.
     """
     peaks = []
     grids: dict[tuple[float, float, int], PeakGrid] = {}

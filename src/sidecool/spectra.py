@@ -336,20 +336,15 @@ class PeakGrid:
     |C(w)|^2 depends only on the grid and the detection configuration, so it
     is computed once here rather than on every model evaluation. Parameter
     vectors are (a2, a3, omega_eff, gamma_eff), LineshapeCoeffs.as_array()[1:];
-    the flat level is left to the caller. grid[keep] is the same grid on the
-    bins a boolean mask keeps, without computing |C(w)|^2 again, and
-    grid.merged(keep, starts, counts) the grid of blocks of those bins.
+    the flat level is left to the caller. grid.merged(keep, starts, counts)
+    is the grid of blocks of the bins a boolean mask keeps, without computing
+    |C(w)|^2 again.
     """
 
     def __init__(self, f: np.ndarray, detection: DetectionConfig):
         self.detection = detection
         self.w = TWO_PI * np.asarray(f, dtype=float)
         self.c_sq = np.abs(detection_filter_c(self.w, detection)) ** 2
-
-    def __getitem__(self, keep: np.ndarray) -> "PeakGrid":
-        sub = copy.copy(self)
-        sub.w, sub.c_sq = self.w[keep], self.c_sq[keep]
-        return sub
 
     def merged(self, keep: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> "PeakGrid":
         """The grid of blocks of the bins a boolean mask keeps: block i is

@@ -113,6 +113,7 @@ def _config_without(config_path, tmp_path, key) -> str:
         ("--f-step-hz", "0"),
         ("--f-step-hz", "-50"),
         ("--f-step-hz", "inf"),
+        ("--f-step-hz", "1e-9"),  # 2e14 bins: numpy refuses the 1.4 PiB grid at once
         ("--points", "0"),
         ("--raw-scale", "0"),
         ("--raw-scale", "inf"),  # refused before the output directory is made

@@ -235,15 +235,37 @@ def test_nlls_no_live_parameter_at_the_solution_gets_infinite_variance():
     assert fit.covariance.tolist() == [[math.inf]]
 
 
-def test_fit_problem_rejects_too_few_points():
-    with pytest.raises(ValueError):
-        _problem(
-            model=lambda p: p,
-            data=np.array([1.0, 2.0, 3.0]),
-            weights=np.ones(3),
-            initial_params=np.ones(4),
-            jacobian=lambda p: np.zeros((3, p.size)),
-        )
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"initial_params": np.ones(4)}, "2x more data points"),
+        ({"weights": np.array([1.0, 0.0, 1.0])}, "weights must be positive"),
+        ({"weights": np.ones(4)}, "same shape"),
+        ({"initial_params": np.array([math.nan])}, "initial parameters must be finite"),
+    ],
+    ids=["too-few-points", "non-positive-weight", "shape-mismatch", "non-finite-start"],
+)
+def test_fit_problem_rejects_bad_input(bad, message):
+    """Each of FitProblem's checks refuses its own fault in an otherwise
+    sound three-point, one-parameter problem."""
+    sound = {"data": np.arange(3.0), "weights": np.ones(3), "initial_params": np.ones(1)}
+    with pytest.raises(ValueError, match=message):
+        _problem(model=lambda p: p, jacobian=lambda p: np.zeros((3, p.size)), **(sound | bad))
+
+
+def test_nlls_refuses_a_model_no_parameter_affects():
+    """A Jacobian that is zero everywhere leaves nothing to fit: the fit
+    raises rather than returning its start."""
+    x = np.linspace(0.0, 5.0, 30)
+    problem = _problem(
+        model=lambda p: x + 0.0 * p[0],
+        data=2.0 * x,
+        weights=np.ones_like(x),
+        initial_params=np.array([1.0]),
+        jacobian=lambda p: np.zeros((x.size, 1)),
+    )
+    with pytest.raises(DegenerateFitError, match="no parameter affects the model"):
+        nlls_fit(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +638,10 @@ def _peak_truth(cavity, mode01, phase_noise):
     return spectra.model_coefficients(mode01, cavity, drive, phase_noise)
 
 
-def test_peak_initial_guess_raises_on_flat(detection):
+def test_peak_initial_guess_raises_on_flat():
     flat = Spectrum(f_start=1e5, f_step=10.0, values=np.full(1000, 2.0))
     with pytest.raises(PeakNotFoundError, match="no peak"):
-        fitting._guess_in_window(flat.frequencies, flat.values, flat.f_step, detection)
+        fitting._guess_in_window(flat.frequencies, flat.values, flat.f_step)
 
 
 def test_fit_peak_exact_on_noiseless_model(cavity, mode01, detection, phase_noise):
@@ -1084,31 +1106,34 @@ def test_background_jacobian_matches_long_form(offset, amp, exponent, center, wi
     _assert_rows_match(model(params)[1], background_jacobian_reference(_GRID_F, params))
 
 
+def _window_bump(spec, window):
+    """The background start's parameters, the search window's slice, and the
+    bump _guess_in_window finds in that window of the whole spectrum less
+    the background start, as analyze_peak evaluates it."""
+    level = fitting._level_and_variance(spec.values, spec.n_averages)
+    _, pivot, params = fitting._background_start(spec, spec.frequencies, [window], level)
+    clean = spec.values - BackgroundModel.on_grid(spec.frequencies, pivot)(params)[0]
+    sl = spec.window_slice(*window)
+    return params, sl, fitting._guess_in_window(spec.frequencies[sl], clean[sl], spec.f_step)
+
+
 def test_peak_start_is_taken_from_the_search_window(cavity, mode01, detection, phase_noise):
-    """analyze_peak's full-band fit starts its lineshape, and its level on
-    top of the background start's offset, at the guess made from a whole
-    background-subtracted spectrum, though it subtracts the start in the
-    search window alone."""
+    """analyze_peak's full-band fit starts at the background start, with the
+    bump's edge level on its offset, and at the bump's unit lineshape scaled
+    to the bump's rise by the lineshape's height at the peak bin on the
+    PeakGrid of the spectrum, though the start is subtracted in the search
+    window alone: the same bits."""
     specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    grid = spectra.PeakGrid(specs[0].frequencies, detection)
     for spec in specs:
-        level = fitting._level_and_variance(spec.values, spec.n_averages)
-        _, pivot, params = fitting._background_start(spec, spec.frequencies, [window], level)
-        start = fitting._pivoted(pivot, *params)
-        clean = spec.values - spectra.evaluate_background(start, spec.frequencies)
-        sl = spec.window_slice(*window)
-        want = fitting._guess_in_window(
-            spec.frequencies[sl], clean[sl], spec.f_step, detection
-        )
+        params, sl, (unit, i_pk, a0, rise) = _window_bump(spec, window)
+        height = grid.model(unit.as_array()[1:])[0][sl][i_pk]
+        want = np.concatenate([params, [rise / height, 0.0, unit.omega_eff, unit.gamma_eff]])
+        want[0] += a0
         fits = _recorded_fits(
             lambda: fitting.analyze_peak(spec, mode01, cavity, detection, window)
         )
-        x0 = fits[0][0].initial_params
-        got = [x0[0], *x0[6:]]
-        ref = [start.tail_offset + want.a0, *want.as_array()[1:]]
-        for name, value, expected in zip(
-            ["offset + a0", "a2", "a3", "omega_eff", "gamma_eff"], got, ref
-        ):
-            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), name
+        assert fits[0][0].initial_params.tobytes() == want.tobytes()
 
 
 def test_one_smoothing_pass_per_spectrum(
@@ -1153,17 +1178,27 @@ def test_half_maximum_span_matches_the_walk(vals, data):
 def test_peak_start_height_from_the_grid_is_peak_models(
     cavity, mode01, detection, phase_noise
 ):
-    """analyze_peak's start reads the unit lineshape's height at the peak bin
-    from the PeakGrid it holds, and fit_peak's from one peak_model call: the
-    two starts are the same bits."""
+    """analyze_peak sizes the bump with its unit lineshape on the PeakGrid it
+    holds, and fit_peak with one peak_model call on the peak bin: the two
+    routes give analyze_peak's start a2 the same bits."""
     specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
-    grid = spectra.PeakGrid(specs[0].frequencies, detection)
     for spec in specs:
-        sl = spec.window_slice(*window)
-        f, vals = spec.frequencies[sl], spec.values[sl]
-        alone = fitting._guess_in_window(f, vals, spec.f_step, detection)
-        held = fitting._guess_in_window(f, vals, spec.f_step, detection, grid[sl])
-        assert held.as_array().tobytes() == alone.as_array().tobytes()
+        _, sl, (unit, i_pk, _, rise) = _window_bump(spec, window)
+        f_pk = spec.frequencies[sl][i_pk : i_pk + 1]
+        a2 = rise / float(spectra.peak_model(f_pk, unit, detection)[0])
+        fits = _recorded_fits(
+            lambda: fitting.analyze_peak(spec, mode01, cavity, detection, window)
+        )
+        assert float(fits[0][0].initial_params[6]).hex() == a2.hex()
+
+
+def test_effective_area_at_a_zero_sideband_angle():
+    """At tan(theta) = 0, a_eff is a2 with a2's sigma when a3 is 0, and is
+    undefined otherwise."""
+    block = np.array([[4.0, 1.0], [1.0, 9.0]])
+    assert fitting._effective_area(5.0, 0.0, 0.0, block) == (5.0, 2.0)
+    with pytest.raises(ValueError, match=r"tan\(theta\) = 0 with a3 != 0"):
+        fitting._effective_area(5.0, 0.5, 0.0, block)
 
 
 def test_effective_area_does_not_depend_on_memory_layout(
@@ -1261,6 +1296,11 @@ def test_fit_cooling_curve_rejects_a_nan_fit(mode01):
     points = [(g, 1e3 / g + 0.13 * g, 1e-300) for g in gammas]
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="b1 = nan"):
         fitting.fit_cooling_curve(points, mode01)
+
+
+def test_fit_cooling_curve_needs_two_points(mode01):
+    with pytest.raises(ValueError, match="at least 2 points"):
+        fitting.fit_cooling_curve([(TWO_PI * 3e3, 1e3, 10.0)], mode01)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1389,6 +1429,40 @@ def test_analyze_campaign_skips_hopeless_spectra(cavity, mode01, detection, phas
             [flat] + specs, mode01, cavity, detection, search_window=window
         )
     assert out.cooling.n_points == 4
+
+
+def test_analyze_campaign_needs_three_usable_peaks(cavity, mode01, detection, phase_noise):
+    """A flat spectrum skipped beside two good ones leaves two peaks, too few
+    for the cooling curve: the campaign raises, naming the count."""
+    flat = Spectrum(
+        f_start=156e3, f_step=50.0, values=np.full(4001, 3.5e-3),
+        units=SpectrumUnits.HZ2_PER_HZ, n_averages=200,
+    )
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FitConvergenceError, match="only 2 of 3 spectra"):
+            fitting.analyze_campaign(
+                [flat] + specs[:2], mode01, cavity, detection, search_window=window
+            )
+    assert ["skipped" in str(w.message) for w in caught] == [True]
+
+
+def test_uncalibrated_spectrum_is_refused(cavity, mode01, detection, phase_noise):
+    """A spectrum left in raw units gives peak areas off by an unknown scale:
+    analyze_peak and fit_peak raise ValueError naming its units, and
+    analyze_campaign lets that error through rather than skipping the
+    spectrum and fitting the other three."""
+    specs, window = _campaign_spectra(cavity, mode01, detection, phase_noise)
+    raw = dataclasses.replace(specs[0], units=SpectrumUnits.RAW)
+    theta = sc.sideband_angle(cavity, mode01.omega_m)
+    for fit in (
+        lambda: fitting.analyze_peak(raw, mode01, cavity, detection, window),
+        lambda: fitting.fit_peak(raw, window, detection, theta),
+        lambda: fitting.analyze_campaign([raw, *specs[1:]], mode01, cavity, detection, window),
+    ):
+        with pytest.raises(ValueError, match="units 'raw_volts2' are not calibrated"):
+            fit()
 
 
 def _bits(peak):
