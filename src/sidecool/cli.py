@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--floor", type=_NOT_NEGATIVE, default=1e-4, help="flat PSD floor (Hz^2/Hz)"
     )
-    p_synth.add_argument("--beat-center-hz", type=_FINITE, default=None)
-    p_synth.add_argument("--beat-amplitude", type=_NOT_NEGATIVE, default=None)
-    p_synth.add_argument("--tail-amplitude", type=_NOT_NEGATIVE, default=None)
     p_synth.add_argument("--raw-scale", type=_POSITIVE_FINITE, default=1.0,
                          help="overall scale distortion; != 1 tags the output raw")
 
@@ -171,26 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
-
-
-def _default_background(mode_f: float, floor: float, args) -> spectra.BackgroundModel:
-    tail_amp = args.tail_amplitude
-    if tail_amp is None:
-        tail_amp = floor * mode_f**2
-    beat_center = args.beat_center_hz
-    if beat_center is None:
-        beat_center = mode_f + 45e3
-    beat_amp = args.beat_amplitude
-    if beat_amp is None:
-        beat_amp = 200.0 * floor
-    return spectra.BackgroundModel(
-        tail_offset=0.0,
-        tail_amplitude=tail_amp,
-        tail_exponent=2.0,
-        beat_center=beat_center,
-        beat_width=2e3,
-        beat_amplitude=beat_amp,
-    )
 
 
 def cmd_synth(args) -> int:
@@ -257,7 +234,12 @@ def cmd_synth(args) -> int:
         n_averages=args.n_averages,
         seed=args.seed,
         floor=floor,
-        background=_default_background(mode_f, floor, args),
+        background=spectra.BackgroundModel(
+            tail_amplitude=floor * mode_f**2,
+            beat_center=mode_f + 45e3,
+            beat_width=2e3,
+            beat_amplitude=200.0 * floor,
+        ),
         tone=tone,
     )
 
@@ -284,6 +266,7 @@ def cmd_synth(args) -> int:
         "files": files,
         "truth": truth,
         "config": dataio.config_to_dict(config),
+        "mode_index": args.mode_index,
         "tool_version": report.TOOL_VERSION,
     }
     dataio.atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")

@@ -70,7 +70,9 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegenerateFitError(RuntimeError):
-    """The normal matrix is singular: degenerate parameterization."""
+    """The fit has no solution to report: a singular normal matrix
+    (degenerate parameterization), or a chi^2 that is not finite at the
+    start."""
 
 
 class FitConvergenceError(RuntimeError):
@@ -210,10 +212,11 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     trials keep failing, as with a wrong-sign Jacobian or a model that is NaN
     off its start: after 18-22 rejections the damped step rounds to nothing
     and the unchanged point is accepted. The stop after 25 failed trials is
-    a guard those cases do not reach. MAX_ITERATIONS accepted steps without
-    a stop raise FitConvergenceError. The covariance is the inverse
-    Gauss-Newton normal matrix scaled by the reduced chi^2, made exactly
-    symmetric.
+    a guard those cases do not reach. A chi^2 that is not finite at the
+    start raises DegenerateFitError, since no trial can improve on it.
+    MAX_ITERATIONS accepted steps without a stop raise FitConvergenceError.
+    The covariance is the inverse Gauss-Newton normal matrix scaled by the
+    reduced chi^2, made exactly symmetric.
 
     Each linearization works on two buffers: the Jacobian J, which the
     model's filler writes, and its weighted copy J w. N = (J w) J^T is one
@@ -239,6 +242,8 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         return w_resid, float(values @ w_resid), fill
 
     w_resid, chi2, fill = evaluated(params)
+    if not math.isfinite(chi2):
+        raise DegenerateFitError(f"chi^2 at the start is not finite ({chi2})")
     lam = LAMBDA_START
     n_iter = 0
     converged = False
@@ -723,13 +728,14 @@ def fit_cooling_curve(
 
     points are (gamma_eff rad/s, a_eff Hz^2, sigma_a_eff). The derived
     quantities use b1 = 2 g^2 Gamma_m n_th (g in Hz), gamma_min =
-    sqrt(b1/b2), and n_min = 2 Gamma_m n_th sqrt(b2/b1). Points at fewer
-    than two distinct gamma_eff cannot separate b1 from b2 and raise
-    DegenerateFitError.
+    sqrt(b1/b2), and n_min = 2 Gamma_m n_th sqrt(b2/b1). Fewer than three
+    points leave no degree of freedom to scale the covariance by and raise
+    ValueError; points at fewer than two distinct gamma_eff cannot separate
+    b1 from b2 and raise DegenerateFitError.
     """
     pts = [(float(g), float(a), float(s)) for g, a, s in points]
-    if len(pts) < 2:
-        raise ValueError("cooling-curve fit needs at least 2 points")
+    if len(pts) < 3:
+        raise ValueError("cooling-curve fit needs at least 3 points")
     for i, point in enumerate(pts):
         error = _point_error(*point)
         if error:
@@ -760,11 +766,8 @@ def fit_cooling_curve(
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("degenerate cooling-curve design") from exc
     resid = areas - design @ b
-    dof = len(pts) - 2
-    chi2 = float(w @ resid**2)
-    reduced = chi2 / dof if dof > 0 else 0.0
-    if dof > 0:
-        cov = cov * reduced
+    reduced = float(w @ resid**2) / (len(pts) - 2)
+    cov = cov * reduced
 
     b1, b2 = float(b[0]), float(b[1])
     if not (b1 > 0 and b2 > 0):  # written so that NaN fails
@@ -933,7 +936,8 @@ def summarize_peaks(
     T_eff at n_min and Q_eff = Omega_m / Gamma_min. A peak that _peak_error
     rejects, such as one fitted at another sideband angle, raises ValueError
     naming it as labels[i] ("peak i" without labels), and so do two peaks
-    with equal coeffs, one fit counted twice, naming both.
+    with equal coeffs, one fit counted twice, naming both, and fewer than
+    three peaks.
     """
 
     def name(i):

@@ -51,6 +51,18 @@ def phase_noise():
     return sc.LaserNoise(s_phi_phi=2.2e-2 / (256e3) ** 2)
 
 
+def campaign_background(mode_f, floor):
+    """The background of every synthesized campaign, synth's too: a 1/f^2
+    tail of amplitude floor * f_m^2 and a 2 kHz wide beat line of height
+    200 * floor at f_m + 45 kHz, for a mode at mode_f (Hz)."""
+    return spectra.BackgroundModel(
+        tail_amplitude=floor * mode_f**2,
+        beat_center=mode_f + 45e3,
+        beat_width=2e3,
+        beat_amplitude=200.0 * floor,
+    )
+
+
 def campaign_spectra(
     mode,
     cavity,
@@ -68,14 +80,7 @@ def campaign_spectra(
     _, gamma_min = sc.min_occupancy(mode, cavity, g0, noise)
     grid = np.geomspace(0.5 * gamma_min, 4.0 * gamma_min, n_powers)
     mode_f = mode.omega_m / TWO_PI
-    background = spectra.BackgroundModel(
-        tail_offset=0.0,
-        tail_amplitude=floor * mode_f**2,
-        tail_exponent=2.0,
-        beat_center=mode_f + 45e3,
-        beat_width=2e3,
-        beat_amplitude=200.0 * floor,
-    )
+    background = campaign_background(mode_f, floor)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         specs, truth = spectra.synthesize_campaign(
@@ -139,14 +144,7 @@ def spiked_tail_spectrum(seed=0, floor=3.5e-3):
     bin at 250 kHz raised to 30 times its expected level: no mechanical
     peak, only a one-bin spike in the search window."""
     mode_f = 256e3
-    background = spectra.BackgroundModel(
-        tail_offset=floor,
-        tail_amplitude=floor * mode_f**2,
-        tail_exponent=2.0,
-        beat_center=mode_f + 45e3,
-        beat_width=2e3,
-        beat_amplitude=200.0 * floor,
-    )
+    background = dataclasses.replace(campaign_background(mode_f, floor), tail_offset=floor)
     f = (mode_f - 100e3) + 50.0 * np.arange(4001)
     level = spectra.evaluate_background(background, f)
     model = spectra.Spectrum(

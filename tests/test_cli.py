@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface, run in-process."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -13,7 +14,9 @@ from sidecool import cli, dataio, fitting, report, spectra
 from sidecool.dataio import ExperimentConfig
 from sidecool.spectra import CalibrationTone
 
-from conftest import peak_record, published_cavity, run_campaign, spiked_tail_spectrum
+from conftest import (
+    campaign_background, peak_record, published_cavity, run_campaign, spiked_tail_spectrum,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,6 +101,52 @@ def test_synth_raw_scale_scales_values_and_tags_them_raw(tmp_path, config_path):
         assert np.array_equal(b.values, 2.5 * a.values)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        ["--mode-index", "1", "--f-start-hz", "330e3", "--f-stop-hz", "700e3"],
+        ["--gamma-opt-hz", "800,3000,9000", "--raw-scale", "2.5", "--floor", "1e-2"],
+    ],
+    ids=["default", "mode-1", "grid-raw-floor"],
+)
+def test_synth_run_is_rebuilt_from_its_manifest(tmp_path, extra, config_path):
+    """The manifest records every input that shapes a spectrum: from it
+    alone, with the campaign background synth draws, synthesize_campaign
+    rewrites every spectrum file byte for byte and the same truth list."""
+    out = tmp_path / "camp"
+    assert _synth(config_path, out, extra=extra) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = dataio.config_from_dict(manifest["config"])
+    mode = config.mode(manifest["mode_index"])
+    specs, truth = spectra.synthesize_campaign(
+        mode=mode,
+        cavity=config.cavity,
+        g0=config.g0,
+        gamma_opt_grid=TWO_PI * np.asarray(manifest["gamma_opt_hz"]),
+        noise=config.noise or sc.LaserNoise(),
+        detection=config.detection,
+        f_start=manifest["f_start_hz"],
+        f_step=manifest["f_step_hz"],
+        n_bins=manifest["n_bins"],
+        n_averages=manifest["n_averages"],
+        seed=manifest["seed"],
+        floor=manifest["floor"],
+        background=campaign_background(mode.omega_m / TWO_PI, manifest["floor"]),
+        tone=config.calibration_tone,
+    )
+    assert json.dumps(truth) == json.dumps(manifest["truth"])
+    assert len(specs) == len(manifest["files"])
+    scale = manifest["raw_scale"]
+    for spec, name in zip(specs, manifest["files"]):
+        if scale != 1.0:
+            spec = dataclasses.replace(
+                spec, values=spec.values * scale, units=spectra.SpectrumUnits.RAW
+            )
+        dataio.write_spectrum(spec, tmp_path / "rebuilt.csv")
+        assert (tmp_path / "rebuilt.csv").read_bytes() == (out / name).read_bytes(), name
+
+
 def _config_without(config_path, tmp_path, key) -> str:
     """A copy of the config at config_path without its top-level key."""
     doc = json.loads(Path(config_path).read_text())
@@ -122,10 +171,6 @@ def _config_without(config_path, tmp_path, key) -> str:
         ("--f-stop-hz", "nan"),
         ("--floor", "nan"),
         ("--floor", "-0.001"),
-        ("--tail-amplitude", "nan"),
-        ("--beat-center-hz", "nan"),
-        ("--beat-amplitude", "nan"),
-        ("--beat-amplitude", "inf"),
         ("--gamma-opt-hz", "1000,nan,3000"),
         ("--gamma-opt-hz", "1000,-500,3000"),  # an unstable drive point
         ("--gamma-opt-hz", "200e3"),  # past the spring's static limit, about 153 kHz
@@ -408,6 +453,10 @@ _BAD_CONFIG_VALUES = {
         ("modes", 0, "temperature_k"), "300", ["temperature_k must be a number", "'300'"]
     ),
     "config-section-not-object": (("detection",), [], ["detection must be an object"]),
+    "config-no-modes": (("modes",), [], ["at least one mechanical mode is required"]),
+    "config-mode-without-width": (
+        ("modes", 0), {"frequency_hz": 256e3}, ["one of gamma_m, q_factor is required"]
+    ),
 }
 
 
@@ -621,6 +670,15 @@ def _bad_input_argv(case, tmp_path, config_path):
                         "# f_start=1000.0\n# f_step=50.0\n"
                         "frequency_hz,psd\n1000\n1050\n")
         return ["fit-peak", "--config", config_path, "--spectrum", str(path), *out]
+    if case == "fit-peak-no-positive-level":
+        path = tmp_path / "zero.csv"
+        zero = spectra.Spectrum(
+            f_start=156e3, f_step=50.0, values=np.zeros(4001),
+            units=spectra.SpectrumUnits.HZ2_PER_HZ, n_averages=100,
+        )
+        dataio.write_spectrum(zero, path)
+        return ["fit-peak", "--config", _config_without(config_path, tmp_path, "calibration_tone"),
+                "--spectrum", str(path), *out]
     if case in ("spectrum-nan-f-step", "spectrum-bad-units"):
         path = tmp_path / "header.csv"
         f_step, units = ("nan", "hz2_per_hz") if case == "spectrum-nan-f-step" else ("50.0", "volts")
@@ -682,6 +740,7 @@ def _bad_input_argv(case, tmp_path, config_path):
         "spectrum-nan-f-step",
         "spectrum-bad-units",
         "fit-peak-raw-units",
+        "fit-peak-no-positive-level",
         "truncated-fragment",
         "fragment-missing-key",
         "fragment-bad-covariance",
@@ -713,6 +772,7 @@ def test_bad_input_gives_one_error_line(tmp_path, config_path, capsys, case):
         "spectrum-nan-f-step": [str(tmp_path / "header.csv"), "f_step"],
         "spectrum-bad-units": [str(tmp_path / "header.csv"), "units", "'volts'"],
         "fit-peak-raw-units": [str(tmp_path / "raw.csv"), "'raw_volts2'", "calibration_tone"],
+        "fit-peak-no-positive-level": ["no positive level"],
         "truncated-fragment": [str(tmp_path / "frag.json")],
         "fragment-missing-key": [str(tmp_path / "frag.json"), "'coeffs'"],
         "fragment-bad-covariance": [str(tmp_path / "frag.json"), "covariance must be 5x5"],

@@ -268,6 +268,22 @@ def test_nlls_refuses_a_model_no_parameter_affects():
         nlls_fit(problem)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nlls_refuses_a_start_whose_chi2_is_not_finite(bad):
+    """Every trial fails against a chi^2 that is not finite, so the fit
+    raises at its start instead of reporting that start as converged."""
+    x = np.linspace(0.0, 5.0, 30)
+    problem = _problem(
+        model=lambda p: np.full(x.size, bad),
+        data=2.0 * np.exp(-0.7 * x),
+        weights=np.ones_like(x),
+        initial_params=np.array([1.0, 1.0]),
+        jacobian=_exponential_jacobian(x),
+    )
+    with pytest.raises(DegenerateFitError, match="chi\\^2 at the start is not finite"):
+        nlls_fit(problem)
+
+
 # ---------------------------------------------------------------------------
 # spectrum statistics
 # ---------------------------------------------------------------------------
@@ -1299,11 +1315,15 @@ def test_fit_cooling_curve_rejects_a_nan_fit(mode01):
 
 
 def test_fit_cooling_curve_needs_two_points(mode01):
-    with pytest.raises(ValueError, match="at least 2 points"):
-        fitting.fit_cooling_curve([(TWO_PI * 3e3, 1e3, 10.0)], mode01)
+    """Two points leave no degree of freedom to scale the covariance by:
+    refused, like one."""
+    points = [(TWO_PI * 3e3, 1e3, 10.0), (TWO_PI * 5e3, 2e3, 10.0)]
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            fitting.fit_cooling_curve(points[:n], mode01)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [3, 4])
 def test_fit_cooling_curve_needs_two_distinct_gamma_eff(mode01, n):
     """Points that all share one gamma_eff cannot separate b1/Gamma from
     b2 Gamma; the normal matrix is singular to rounding, so the fit raises
